@@ -110,10 +110,9 @@ def _sun_source(args):
 
 
 def _trajectory_csv(traj) -> str:
+    rows = np.column_stack((traj.t, traj.r, traj.v)).tolist()
     lines = ["t_s,x_km,y_km,z_km,vx_km_s,vy_km_s,vz_km_s"]
-    for k in range(len(traj)):
-        fields = [traj.t[k], *traj.r[k], *traj.v[k]]
-        lines.append(",".join(_rp(v) for v in fields))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -232,9 +231,10 @@ def _cmd_srp_year(args) -> int:
     svg_path = _out_path(args, "srp_year.svg")
     _write_text(svg_path, svgplot.render(fig))
 
-    mags = [s.magnitude for s in samples]
+    lit = [s.magnitude for s in samples if s.nu]
+    ratio = f"{max(lit) / min(lit):.4f}" if lit else "n/a"
     print(f"wrote {csv_path} and {svg_path} ({len(samples)} samples, "
-          f"max/min magnitude ratio {max(mags) / min(mags):.4f})")
+          f"max/min magnitude ratio {ratio})")
     return 0
 
 

@@ -197,12 +197,18 @@ def _parse_simple_csv(text: str, label: str, path):
 
 
 def _http_get(url: str, params: dict) -> str:
-    """Transport hook; tests monkeypatch this."""
-    import requests
+    """Transport hook: GET url with urlencoded params; tests monkeypatch this.
 
-    resp = requests.get(url, params=params, timeout=60)
-    resp.raise_for_status()
-    return resp.text
+    Raises:
+        urllib.error.HTTPError: On an HTTP error status.
+        OSError: On connection failures or the 60 s timeout.
+    """
+    from urllib.parse import urlencode
+    from urllib.request import urlopen
+
+    with urlopen(f"{url}?{urlencode(params)}", timeout=60) as resp:
+        charset = resp.headers.get_content_charset() or "utf-8"
+        return resp.read().decode(charset)
 
 
 def _cache_name(body: str, center: str, jd_start: float, jd_stop: float,
@@ -325,6 +331,31 @@ def analytic_sun_table(jd_start: float, jd_stop: float,
     return EphemerisTable(records)
 
 
+def bracket(table: EphemerisTable, jd: float) -> tuple[int, float]:
+    """Locate a Julian date between the table nodes.
+
+    Returns:
+        (k, w) with jd = (1 - w) * jds[k] + w * jds[k + 1]; at the last
+        node k is the last index and w is 0.
+
+    Raises:
+        EphemerisRangeError: If jd is outside the table span.
+    """
+    jds = table._jds
+    if jd < jds[0] or jd > jds[-1]:
+        raise EphemerisRangeError(
+            f"epoch jd {jd} outside table span [{jds[0]}, {jds[-1]}]")
+    k = bisect.bisect_right(jds, jd) - 1
+    if k == len(jds) - 1:
+        return k, 0.0
+    return k, (jd - jds[k]) / (jds[k + 1] - jds[k])
+
+
+def lerp(a, b, w: float):
+    """(1 - w) * a + w * b for floats or arrays."""
+    return (1.0 - w) * a + w * b
+
+
 def interpolate(table: EphemerisTable, epoch: Epoch) -> EphemerisRecord:
     """Linear per-component interpolation between bracketing records.
 
@@ -334,28 +365,43 @@ def interpolate(table: EphemerisTable, epoch: Epoch) -> EphemerisRecord:
     Raises:
         EphemerisRangeError: If epoch is outside the table span.
     """
-    jds = table._jds
-    jd = epoch.jd
-    if jd < jds[0] or jd > jds[-1]:
-        raise EphemerisRangeError(
-            f"epoch jd {jd} outside table span [{jds[0]}, {jds[-1]}]")
-    k = bisect.bisect_right(jds, jd) - 1
-    if k == len(jds) - 1:
+    k, w = bracket(table, epoch.jd)
+    if k == len(table) - 1:
         return table.records[-1]
     lo, hi = table.records[k], table.records[k + 1]
-    w = (jd - jds[k]) / (jds[k + 1] - jds[k])
 
-    def lerp(aval, bval):
+    def mix(aval, bval):
         if aval is None or bval is None:
             return None
-        return (1.0 - w) * aval + w * bval
+        return lerp(aval, bval, w)
 
     return EphemerisRecord(
         epoch=epoch,
-        sun_geocentric=lerp(lo.sun_geocentric, hi.sun_geocentric),
-        earth_barycentric=lerp(lo.earth_barycentric, hi.earth_barycentric),
-        moon_geocentric=lerp(lo.moon_geocentric, hi.moon_geocentric),
-        moon_barycentric=lerp(lo.moon_barycentric, hi.moon_barycentric))
+        sun_geocentric=mix(lo.sun_geocentric, hi.sun_geocentric),
+        earth_barycentric=mix(lo.earth_barycentric, hi.earth_barycentric),
+        moon_geocentric=mix(lo.moon_geocentric, hi.moon_geocentric),
+        moon_barycentric=mix(lo.moon_barycentric, hi.moon_barycentric))
+
+
+def shadow_nu(x: float, y: float, z: float,
+              sx: float, sy: float, sz: float) -> int:
+    """Cylindrical-shadow kernel on scalar components (see shadow_factor).
+
+    Raises:
+        DomainError: If |r_sat| <= r_earth or the Sun vector is zero.
+    """
+    rs = math.sqrt(x * x + y * y + z * z)
+    if rs <= CONSTANTS.r_earth:
+        raise DomainError(
+            f"|r_sat| = {rs} km is not above the Earth surface")
+    sun_norm = math.sqrt(sx * sx + sy * sy + sz * sz)
+    if sun_norm == 0.0:
+        raise DomainError("sun direction vector is zero")
+    along = x * (sx / sun_norm) + y * (sy / sun_norm) + z * (sz / sun_norm)
+    if along >= 0.0:
+        return 1
+    perp = math.sqrt(max(rs * rs - along * along, 0.0))
+    return 0 if perp < CONSTANTS.r_earth else 1
 
 
 def shadow_factor(r_sat, r_sun_geo) -> int:
@@ -366,20 +412,9 @@ def shadow_factor(r_sat, r_sun_geo) -> int:
     the Sun direction matters, not its distance.
 
     Raises:
-        DomainError: If |r_sat| <= r_earth (no exterior geometry).
+        DomainError: If |r_sat| <= r_earth (no exterior geometry), the Sun
+            vector is zero, or either input is not a 3-vector.
     """
-    r_sat = _as_vec3(r_sat, "r_sat")
-    r_sun = _as_vec3(r_sun_geo, "r_sun_geo")
-    rs = float(np.linalg.norm(r_sat))
-    if rs <= CONSTANTS.r_earth:
-        raise DomainError(
-            f"|r_sat| = {rs} km is not above the Earth surface")
-    sun_norm = float(np.linalg.norm(r_sun))
-    if sun_norm == 0.0:
-        raise DomainError("sun direction vector is zero")
-    sun_hat = r_sun / sun_norm
-    along = float(np.dot(r_sat, sun_hat))
-    if along >= 0.0:
-        return 1
-    perp = math.sqrt(max(rs * rs - along * along, 0.0))
-    return 0 if perp < CONSTANTS.r_earth else 1
+    r_sat = _as_vec3(r_sat, "r_sat").tolist()
+    r_sun = _as_vec3(r_sun_geo, "r_sun_geo").tolist()
+    return shadow_nu(*r_sat, *r_sun)

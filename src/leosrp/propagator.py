@@ -2,14 +2,21 @@
 
 The integrator is the classical fourth-order Runge-Kutta scheme on the
 (r, v) state, with a fixed step and an optional final partial step so the
-requested duration is hit exactly.  A perturbation hook, when given, is
-called as accel = hook(r, v, epoch) and its km/s^2 result is added to the
-central-body term inside every stage evaluation.
+requested duration is hit exactly.  The state is carried as six Python
+floats; the central-body term is evaluated inline.
+
+Perturbation hook contract: a hook is called as accel = hook(r, v, epoch)
+once per RK4 stage, with freshly allocated (3,) float arrays r (km) and
+v (km/s) and the stage Epoch.  It may keep or modify those arrays.  It
+returns its km/s^2 acceleration as any length-3 sequence (an array, a list
+or a tuple), which is added to the central-body term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -31,18 +38,52 @@ def two_body_accel(r, mu: float = CONSTANTS.mu_earth) -> np.ndarray:
     return (-mu / rn ** 3) * r
 
 
-def _rk4_core(r0, v0, h, accel, t0):
-    """One classical RK4 stage evaluation; accel takes (r, v, t_abs)."""
-    a1 = accel(r0, v0, t0)
-    v1 = v0 + 0.5 * h * a1
-    a2 = accel(r0 + 0.5 * h * v0, v1, t0 + 0.5 * h)
-    v2 = v0 + 0.5 * h * a2
-    a3 = accel(r0 + 0.5 * h * v1, v2, t0 + 0.5 * h)
-    v3 = v0 + h * a3
-    a4 = accel(r0 + h * v2, v3, t0 + h)
-    r_new = r0 + (h / 6.0) * (v0 + 2.0 * v1 + 2.0 * v2 + v3)
-    v_new = v0 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return r_new, v_new
+def _xyz(vec):
+    """A length-3 vector as three numbers; arrays become Python floats."""
+    if isinstance(vec, np.ndarray):
+        vec = vec.tolist()
+    x, y, z = vec
+    return x, y, z
+
+
+def _rk4(state, steps, accel):
+    """Classical RK4 over a sequence of steps on six floats.
+
+    Args:
+        state: (x, y, z, vx, vy, vz) at the start of the first step.
+        steps: Step sizes, seconds.
+        accel: accel(x, y, z, vx, vy, vz, t) -> (ax, ay, az), with t in
+            seconds from the start of the first step.
+
+    Returns:
+        Flat list of the six state components after every step.
+    """
+    x, y, z, vx, vy, vz = state
+    out = []
+    push = out.extend
+    t = 0.0
+    for h in steps:
+        hh = 0.5 * h
+        a1x, a1y, a1z = accel(x, y, z, vx, vy, vz, t)
+        v1x, v1y, v1z = vx + hh * a1x, vy + hh * a1y, vz + hh * a1z
+        a2x, a2y, a2z = accel(x + hh * vx, y + hh * vy, z + hh * vz,
+                              v1x, v1y, v1z, t + hh)
+        v2x, v2y, v2z = vx + hh * a2x, vy + hh * a2y, vz + hh * a2z
+        a3x, a3y, a3z = accel(x + hh * v1x, y + hh * v1y, z + hh * v1z,
+                              v2x, v2y, v2z, t + hh)
+        v3x, v3y, v3z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+        a4x, a4y, a4z = accel(x + h * v2x, y + h * v2y, z + h * v2z,
+                              v3x, v3y, v3z, t + h)
+        h6 = h / 6.0
+        x += h6 * (vx + 2.0 * v1x + 2.0 * v2x + v3x)
+        y += h6 * (vy + 2.0 * v1y + 2.0 * v2y + v3y)
+        z += h6 * (vz + 2.0 * v1z + 2.0 * v2z + v3z)
+        vx += h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+        vy += h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
+        vz += h6 * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
+        t += h
+        push((x, y, z, vx, vy, vz))
+    return out
 
 
 def rk4_step(state: StateVector, dt: float, accel) -> StateVector:
@@ -51,14 +92,19 @@ def rk4_step(state: StateVector, dt: float, accel) -> StateVector:
     Args:
         state: State at the start of the step.
         dt: Step size, seconds.
-        accel: Callable accel(r, v, t) -> km/s^2 array; t is seconds from
-            the start of the step.
+        accel: Callable accel(r, v, t) -> km/s^2 length-3 sequence; r and
+            v are fresh (3,) arrays and t is seconds from the start of the
+            step.
 
     Returns:
         StateVector at state.epoch + dt.
     """
-    r_new, v_new = _rk4_core(state.r, state.v, dt, accel, 0.0)
-    return StateVector(r_new, v_new, state.epoch.plus_seconds(dt))
+    def stage(x, y, z, vx, vy, vz, t):
+        return _xyz(accel(np.array((x, y, z)), np.array((vx, vy, vz)), t))
+
+    out = _rk4((*state.r.tolist(), *state.v.tolist()), (dt,), stage)
+    return StateVector(np.array(out[:3]), np.array(out[3:]),
+                       state.epoch.plus_seconds(dt))
 
 
 @dataclass
@@ -106,11 +152,12 @@ def propagate(state0: StateVector, duration: float, dt: float = 10.0,
 
     Args:
         state0: Initial state.
-        duration: Propagation span, seconds (> 0).
-        dt: Step size, seconds (> 0); a shorter final step lands exactly on
-            the duration when it does not divide evenly.
-        perturbation: Optional hook accel(r, v, epoch) -> km/s^2 array,
-            added to the two-body term.
+        duration: Propagation span, seconds (finite, > 0).
+        dt: Step size, seconds (finite, > 0); a shorter final step lands
+            exactly on the duration when it does not divide evenly.
+        perturbation: Optional hook accel(r, v, epoch) -> km/s^2 length-3
+            sequence, added to the two-body term (see the module docstring
+            for the calling contract).
 
     Returns:
         Trajectory sampled at every step boundary, including t = 0.  If any
@@ -118,12 +165,14 @@ def propagate(state0: StateVector, duration: float, dt: float = 10.0,
         propagation continues.
 
     Raises:
-        DomainError: If duration or dt is not positive.
+        DomainError: If duration or dt is not positive and finite.
+        DegenerateOrbitError: If a stage position reaches |r| = 0.
     """
-    if not duration > 0.0:
-        raise DomainError(f"duration must be positive, got {duration}")
-    if not dt > 0.0:
-        raise DomainError(f"step must be positive, got {dt}")
+    if not (duration > 0.0 and math.isfinite(duration)):
+        raise DomainError(
+            f"duration must be positive and finite, got {duration}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise DomainError(f"step must be positive and finite, got {dt}")
 
     n_full = int(duration / dt + 1e-9)
     remainder = duration - n_full * dt
@@ -131,33 +180,38 @@ def propagate(state0: StateVector, duration: float, dt: float = 10.0,
     if remainder > 1e-9 * max(1.0, duration):
         steps.append(remainder)
 
-    n_samp = len(steps) + 1
-    t = np.empty(n_samp)
-    r = np.empty((n_samp, 3))
-    v = np.empty((n_samp, 3))
-    t[0], r[0], v[0] = 0.0, state0.r, state0.v
-
     epoch0 = state0.epoch
-    if perturbation is None:
-        def accel_at(rr, vv, t_abs):
-            return two_body_accel(rr, mu)
-    else:
-        def accel_at(rr, vv, t_abs):
-            return two_body_accel(rr, mu) + perturbation(
-                rr, vv, epoch0.plus_seconds(t_abs))
+    sqrt = math.sqrt
 
-    reentry_at = None
-    t_now = 0.0
-    r_now, v_now = r[0].copy(), v[0].copy()
-    for k, h in enumerate(steps, start=1):
-        r_now, v_now = _rk4_core(r_now, v_now, h, accel_at, t_now)
-        t_now += h
-        t[k], r[k], v[k] = t_now, r_now, v_now
-        if reentry_at is None and np.linalg.norm(r_now) < CONSTANTS.r_earth:
-            reentry_at = t_now
+    def central(x, y, z, vx, vy, vz, t):
+        r2 = x * x + y * y + z * z
+        if r2 == 0.0:
+            raise DegenerateOrbitError(
+                "two-body acceleration singular at |r| = 0")
+        k = -mu / (r2 * sqrt(r2))
+        return k * x, k * y, k * z
+
+    accel = central
+    if perturbation is not None:
+        def accel(x, y, z, vx, vy, vz, t):
+            cx, cy, cz = central(x, y, z, vx, vy, vz, t)
+            px, py, pz = _xyz(perturbation(
+                np.array((x, y, z)), np.array((vx, vy, vz)),
+                epoch0.plus_seconds(t)))
+            return cx + px, cy + py, cz + pz
+
+    y0 = (*state0.r.tolist(), *state0.v.tolist())
+    n_samp = len(steps) + 1
+    rv = np.fromiter(chain(y0, _rk4(y0, steps, accel)), float,
+                     6 * n_samp).reshape(n_samp, 6)
+    t = np.fromiter(accumulate(steps, initial=0.0), float, n_samp)
+    r = np.ascontiguousarray(rv[:, :3])
+    v = np.ascontiguousarray(rv[:, 3:])
 
     notes = ()
-    if reentry_at is not None:
+    below = np.flatnonzero(np.linalg.norm(r[1:], axis=1) < CONSTANTS.r_earth)
+    if below.size:
+        reentry_at = t[below[0] + 1]
         notes = (f"reentry: |r| < r_earth from t = {reentry_at:.1f} s",)
     return Trajectory(epoch0=epoch0, t=t, r=r, v=v, step=dt, warnings=notes)
 

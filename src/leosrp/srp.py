@@ -22,9 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ephemeris import EphemerisTable, interpolate, shadow_factor
+from .ephemeris import (EphemerisTable, _as_vec3, bracket, lerp,
+                        shadow_factor, shadow_nu)
 from .errors import DomainError, EphemerisRangeError
 from .kepler import KeplerianElements, elements_at, elements_to_state
+from .propagator import _xyz
 from .timeframe import CONSTANTS, Epoch
 
 SECONDS_PER_DAY = 86400.0
@@ -104,6 +106,30 @@ class SweepEntry:
     elements: KeplerianElements
 
 
+def _coefficient(cfg: SrpConfig) -> float:
+    """Lit cannonball coefficient cr * p0 * (A/M) * AU^2, km^3/s^2."""
+    base_m_s2 = cfg.cr * CONSTANTS.p0 * cfg.area / cfg.mass
+    return (base_m_s2 / 1000.0) * CONSTANTS.au ** 2
+
+
+def cannonball(x: float, y: float, z: float,
+               sx: float, sy: float, sz: float, coef: float):
+    """Cannonball kernel on scalar components: coef * d / |d|^3, d = r - s.
+
+    coef is the shadow factor times the lit coefficient; returns the
+    (ax, ay, az) acceleration, km/s^2.
+
+    Raises:
+        DomainError: If the satellite coincides with the Sun position.
+    """
+    ox, oy, oz = x - sx, y - sy, z - sz
+    dist = math.sqrt(ox * ox + oy * oy + oz * oz)
+    if dist == 0.0:
+        raise DomainError("satellite coincides with the Sun position")
+    scale = coef / dist ** 3
+    return scale * ox, scale * oy, scale * oz
+
+
 def srp_acceleration(r_sat, r_sun_geo, cfg: SrpConfig, nu: int = 1) -> np.ndarray:
     """Cannonball acceleration on the craft, km/s^2.
 
@@ -117,20 +143,14 @@ def srp_acceleration(r_sat, r_sun_geo, cfg: SrpConfig, nu: int = 1) -> np.ndarra
         Acceleration vector pointing from the Sun through the satellite.
 
     Raises:
-        DomainError: If nu is not 0 or 1, or the satellite coincides with
-            the Sun position.
+        DomainError: If nu is not 0 or 1, either position is not a
+            3-vector, or the satellite coincides with the Sun position.
     """
     if nu not in (0, 1):
         raise DomainError(f"nu must be 0 or 1, got {nu}")
-    r_sat = np.asarray(r_sat, dtype=float)
-    r_sun = np.asarray(r_sun_geo, dtype=float)
-    offset = r_sat - r_sun
-    dist = float(np.linalg.norm(offset))
-    if dist == 0.0:
-        raise DomainError("satellite coincides with the Sun position")
-    base_m_s2 = cfg.cr * CONSTANTS.p0 * cfg.area / cfg.mass
-    scale = nu * (base_m_s2 / 1000.0) * CONSTANTS.au ** 2 / dist ** 3
-    return scale * offset
+    r_sat = _as_vec3(r_sat, "r_sat").tolist()
+    r_sun = _as_vec3(r_sun_geo, "r_sun_geo").tolist()
+    return np.array(cannonball(*r_sat, *r_sun, nu * _coefficient(cfg)))
 
 
 def srp_force(accel_km_s2, mass: float) -> np.ndarray:
@@ -196,25 +216,51 @@ def srp_year_series(table: EphemerisTable, sat_position, cfg: SrpConfig,
 def srp_perturbation(cfg: SrpConfig, sun_position):
     """Build a propagation hook accel(r, v, epoch) for the force model.
 
+    The hook returns the acceleration as an (ax, ay, az) tuple of floats,
+    km/s^2; it equals srp_acceleration(r, sun, cfg, nu) with nu forced or
+    from shadow_factor(r, sun).
+
     Args:
         cfg: Craft parameters; nu_override forces the shadow factor.
         sun_position: Callable epoch -> geocentric Sun position, km (an
             ephemeris interpolant or the analytic model).
     """
-    def hook(r, v, epoch):
-        r_sun = sun_position(epoch)
-        if cfg.nu_override is not None:
-            nu = cfg.nu_override
-        else:
-            nu = shadow_factor(r, r_sun)
-        return srp_acceleration(r, r_sun, cfg, nu=nu)
+    lit = _coefficient(cfg)
+    forced = cfg.nu_override
+    if forced is not None:
+        coef = forced * lit
+
+        def hook(r, v, epoch):
+            return cannonball(*_xyz(r), *_xyz(sun_position(epoch)), coef)
+    else:
+        def hook(r, v, epoch):
+            x, y, z = _xyz(r)
+            sx, sy, sz = _xyz(sun_position(epoch))
+            nu = shadow_nu(x, y, z, sx, sy, sz)
+            return cannonball(x, y, z, sx, sy, sz, nu * lit)
     return hook
 
 
 def table_sun_position(table: EphemerisTable):
-    """Provider closure: epoch -> interpolated Sun position from a table."""
+    """Provider closure: epoch -> interpolated Sun position from a table.
+
+    Same values as interpolate(table, epoch).sun_geocentric; the node
+    positions are unpacked to floats once, up front.
+
+    Raises (from the provider):
+        EphemerisRangeError: If the epoch is outside the table span.
+    """
+    nodes = [rec.sun_geocentric.tolist() for rec in table.records]
+    last = len(nodes) - 1
+
     def position(epoch: Epoch) -> np.ndarray:
-        return interpolate(table, epoch).sun_geocentric
+        k, w = bracket(table, epoch.jd)
+        a = nodes[k]
+        if k == last:
+            return np.array(a)
+        b = nodes[k + 1]
+        return np.array((lerp(a[0], b[0], w), lerp(a[1], b[1], w),
+                         lerp(a[2], b[2], w)))
     return position
 
 

@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 from leosrp import cli, ephemeris
+from leosrp.kepler import elements_to_state, orbital_period
 from leosrp.mlreg import read_dataset_csv
 
 HORIZONS_SNIPPET = """\
@@ -55,6 +57,18 @@ def test_broken_csv_names_file_and_line(tmp_path, capsys):
     assert run_cli("propagate", "--elements", str(bad)) == 2
     err = capsys.readouterr().err
     assert "broken.csv:2" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", "inf"), ("--dt", "nan"), ("--hours", "inf"),
+    ("--hours", "nan")])
+def test_propagate_non_finite_span_is_data_error(elements_csv, tmp_path,
+                                                 capsys, flag, value):
+    out = str(tmp_path / "run")
+    assert run_cli("propagate", "--elements", elements_csv, flag, value,
+                   "--out", out) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "trajectory.csv"))
 
 
 def test_bad_station_string(elements_csv, tmp_path, capsys):
@@ -131,6 +145,37 @@ def test_srp_year_from_file(elements_csv, tmp_path):
                    "--ephem", str(table), "--out", out) == 0
     lines = read(os.path.join(out, "srp_year.csv")).strip().splitlines()
     assert len(lines) == 1 + 2
+
+
+def test_srp_year_geometric_with_eclipses(elements_csv, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run_cli("srp", "year", "--elements", elements_csv,
+                   "--shadow", "geometric", "--out", out) == 0
+    rows = [line.split(",") for line in
+            read(os.path.join(out, "srp_year.csv")).strip().splitlines()[1:]]
+    nus = {row[-1] for row in rows}
+    assert nus == {"0", "1"}
+    lit = [float(row[4]) for row in rows if row[-1] == "1"]
+    ratio = f"max/min magnitude ratio {max(lit) / min(lit):.4f})"
+    assert ratio in capsys.readouterr().out
+
+
+def test_srp_year_all_eclipsed_prints_na(el0, elements_csv, tmp_path,
+                                         capsys):
+    # the Sun file puts the Sun straight behind the satellite at both epochs
+    r = elements_to_state(el0).r
+    sun = (-1.5e8 * r / np.linalg.norm(r)).tolist()
+    period_days = orbital_period(el0.a) / 86400.0
+    table = tmp_path / "behind.csv"
+    table.write_text("jd,x,y,z\n" + "".join(
+        f"{el0.epoch.jd + k * period_days!r},{sun[0]!r},{sun[1]!r},"
+        f"{sun[2]!r}\n" for k in range(2)))
+    out = str(tmp_path / "run")
+    assert run_cli("srp", "year", "--elements", elements_csv, "--shadow",
+                   "geometric", "--ephem", str(table), "--out", out) == 0
+    rows = read(os.path.join(out, "srp_year.csv")).strip().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["0", "0"]
+    assert "max/min magnitude ratio n/a)" in capsys.readouterr().out
 
 
 def test_srp_sweep_artifacts(elements_csv, tmp_path):

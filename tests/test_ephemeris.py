@@ -1,5 +1,9 @@
+import http.server
 import math
 import os
+import threading
+import urllib.error
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -149,6 +153,55 @@ def test_fetch_offline_error(tmp_path, monkeypatch):
     with pytest.raises(FetchError) as err:
         fetch_horizons("sun", 2459905.5, 2459907.5, cache_dir=str(tmp_path))
     assert "analytic" in str(err.value)  # points at the offline fallback
+
+
+@pytest.fixture
+def local_server(monkeypatch):
+    """A one-thread HTTP server on 127.0.0.1 that records request paths."""
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("no_proxy", "*")
+    seen = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            seen.append(self.path)
+            if self.path.startswith("/missing"):
+                self.send_error(404)
+                return
+            body = HORIZONS_TEXT.encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain; charset=utf-8")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}", seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_http_get_transport(local_server):
+    base, seen = local_server
+    params = {"COMMAND": "'10'", "START_TIME": "'JD2459905.500000000'",
+              "STEP_SIZE": "'1 d'"}
+    assert ephemeris._http_get(base + "/api", params) == HORIZONS_TEXT
+    path = urllib.parse.urlsplit(seen[0])
+    assert path.path == "/api"
+    assert urllib.parse.parse_qs(path.query) == {
+        key: [value] for key, value in params.items()}
+    with pytest.raises(urllib.error.HTTPError):
+        ephemeris._http_get(base + "/missing", params)
 
 
 def test_fetch_unknown_body(tmp_path):

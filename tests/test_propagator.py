@@ -55,6 +55,55 @@ def test_propagate_argument_checks():
         propagate(sv, 100.0, dt=0.0)
 
 
+@pytest.mark.parametrize("duration, dt", [
+    (math.inf, 10.0), (math.nan, 10.0), (100.0, math.inf),
+    (100.0, math.nan), (math.inf, math.inf), (-math.inf, 10.0)])
+def test_propagate_rejects_non_finite(duration, dt):
+    _, sv = circ_state()
+    with pytest.raises(DomainError):
+        propagate(sv, duration, dt=dt)
+
+
+def test_perturbation_hook_contract():
+    _, sv = circ_state()
+    seen = []
+
+    def scribbler(r, v, epoch):
+        seen.append((type(r), r.shape, type(v), v.shape, type(epoch)))
+        r[:] = 0.0  # a hook may overwrite the arrays it is handed
+        v[:] = 0.0
+        return [0.0, 0.0, 0.0]
+
+    base = propagate(sv, 100.0, dt=10.0)
+    traj = propagate(sv, 100.0, dt=10.0, perturbation=scribbler)
+    assert np.array_equal(traj.r, base.r) and np.array_equal(traj.v, base.v)
+    assert len(seen) == 40
+    assert set(seen) == {(np.ndarray, (3,), np.ndarray, (3,), Epoch)}
+
+    kick = propagate(sv, 100.0, dt=10.0,
+                     perturbation=lambda r, v, epoch: (0.0, 0.0, 1e-6))
+    # constant extra acceleration: displacement 0.5 * a * t^2 along z
+    dz = kick.r[-1, 2] - base.r[-1, 2]
+    assert dz == pytest.approx(0.5 * 1e-6 * 100.0 ** 2, rel=1e-2)
+
+
+def test_rk4_step_matches_propagate():
+    _, sv = circ_state()
+    nxt = rk4_step(sv, 10.0, lambda r, v, t: two_body_accel(r))
+    traj = propagate(sv, 10.0, dt=10.0)
+    assert np.allclose(nxt.r, traj.r[1], rtol=0.0, atol=1e-9)
+    assert np.allclose(nxt.v, traj.v[1], rtol=0.0, atol=1e-12)
+    # stage times are seconds from the start of the step; tuples accepted
+    times = []
+
+    def accel(r, v, t):
+        times.append(t)
+        return tuple(two_body_accel(r))
+
+    rk4_step(sv, 10.0, accel)
+    assert times == [0.0, 5.0, 5.0, 10.0]
+
+
 def test_conservation_two_orbits():
     el, sv = circ_state()
     t_orbit = orbital_period(el.a)
