@@ -10,6 +10,7 @@ flags give byte-identical files.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -42,9 +43,12 @@ def _rp(x) -> str:
     return repr(float(x))
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(args, name: str, text: str) -> str:
+    """Write text to name under --out; returns the path."""
+    path = _out_path(args, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+    return path
 
 
 def _out_path(args, name: str) -> str:
@@ -89,24 +93,24 @@ def _parse_config(text: str | None, shadow: str) -> srp.SrpConfig:
     return srp.SrpConfig(**kwargs)
 
 
-def _sun_source(args):
-    """Resolve --ephem into (sun position callable, table or None)."""
-    choice = args.ephem
-    if choice == "analytic":
-        return ephemeris.sun_position_analytic, None
-    if choice == "fetch":
+def _sun_table(args) -> ephemeris.EphemerisTable:
+    """Resolve --ephem into a Sun table: analytic, fetched, or a file."""
+    path = None
+    if args.ephem in ("analytic", "fetch"):
         jd0 = parse_epoch(args.start).jd
         jd1 = parse_epoch(args.stop).jd
+        if args.ephem == "analytic":
+            return ephemeris.analytic_sun_table(jd0, jd1,
+                                                step_days=args.step_days)
         text = ephemeris.fetch_horizons(
             "sun", jd0, jd1, step_days=args.step_days,
             cache_dir=args.ephem_cache)
-        table = ephemeris.EphemerisTable.from_components(
-            ephemeris.parse_horizons_vectors(text, body="sun"))
-        return srp.table_sun_position(table), table
-    rows = ephemeris.parse_horizons_vectors(
-        open(choice, "r", encoding="utf-8").read(), body="sun", path=choice)
-    table = ephemeris.EphemerisTable.from_components(rows)
-    return srp.table_sun_position(table), table
+    else:
+        path = args.ephem
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return ephemeris.EphemerisTable.from_components(
+        ephemeris.parse_horizons_vectors(text, body="sun", path=path))
 
 
 def _trajectory_csv(traj) -> str:
@@ -116,20 +120,57 @@ def _trajectory_csv(traj) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _propagate(args, el, hook=None):
+    """RK4 trajectory from an element set over --hours at step --dt."""
+    return propagate(kepler.elements_to_state(el), args.hours * 3600.0,
+                     dt=args.dt, perturbation=hook)
+
+
+def _write_srp_year(args, el, cfg):
+    """Year series over the --ephem Sun table; returns (path, samples)."""
+    samples = srp.srp_year_series(_sun_table(args),
+                                  srp.two_body_position(el), cfg)
+    lines = ["jd,ax_km_s2,ay_km_s2,az_km_s2,mag_km_s2,mag_km_day2,nu"]
+    for s in samples:
+        lines.append(",".join([
+            _rp(s.epoch.jd), _rp(s.accel[0]), _rp(s.accel[1]),
+            _rp(s.accel[2]), _rp(s.magnitude),
+            _rp(srp.km_s2_to_km_day2(s.magnitude)), str(s.nu)]))
+    path = _write_text(args, "srp_year.csv", "\n".join(lines) + "\n")
+    return path, samples
+
+
+def _write_sweep(args, el, start, step, count):
+    """Sweep to sweep.csv and sweep_elements.csv; returns (paths, entries)."""
+    entries = srp.perturb_sweep(start, step, count, el,
+                                per_orbit_exposure=args.exposure)
+    lines = ["a_srp_km_day2,delta_i_rad,i_deg_new"]
+    el_lines = [ELEMENTS_CSV_HEADER]
+    for entry in entries:
+        lines.append(",".join([
+            _rp(entry.a_srp_km_day2), _rp(entry.delta_i),
+            _rp(math.degrees(entry.elements.i))]))
+        el_lines.append(kepler.elements_to_row(entry.elements))
+    sweep_path = _write_text(args, "sweep.csv", "\n".join(lines) + "\n")
+    el_path = _write_text(args, "sweep_elements.csv",
+                          "\n".join(el_lines) + "\n")
+    return [sweep_path, el_path], entries
+
+
 # --- subcommand implementations ---
 
 def _cmd_propagate(args) -> int:
     el = _load_elements(args.elements)
-    state0 = kepler.elements_to_state(el)
     hook = None
     if args.srp:
         cfg = _parse_config(args.config, args.shadow)
-        sun, _ = _sun_source(args)
+        if args.ephem == "analytic":
+            sun = ephemeris.sun_position_analytic
+        else:
+            sun = srp.table_sun_position(_sun_table(args))
         hook = srp.srp_perturbation(cfg, sun)
-    traj = propagate(state0, args.hours * 3600.0, dt=args.dt,
-                     perturbation=hook)
-    path = _out_path(args, "trajectory.csv")
-    _write_text(path, _trajectory_csv(traj))
+    traj = _propagate(args, el, hook)
+    path = _write_text(args, "trajectory.csv", _trajectory_csv(traj))
     for note in traj.warnings:
         print(f"warning: {note}", file=sys.stderr)
     print(f"wrote {path} ({len(traj)} samples)")
@@ -137,16 +178,14 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_groundtrack(args) -> int:
-    el = _load_elements(args.elements)
-    traj = propagate(kepler.elements_to_state(el), args.hours * 3600.0,
-                     dt=args.dt)
+    traj = _propagate(args, _load_elements(args.elements))
     track = geotrack.ground_track(traj)
     lines = ["t_s,jd,lat_deg,lon_deg,alt_km"]
     for tk, (epoch, point) in zip(traj.t, track):
         lines.append(",".join(_rp(v) for v in
                               (tk, epoch.jd, point.lat, point.lon, point.alt)))
-    csv_path = _out_path(args, "groundtrack.csv")
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    csv_path = _write_text(args, "groundtrack.csv",
+                           "\n".join(lines) + "\n")
 
     fig = svgplot.Figure(title="ground track", x_label="longitude (deg)",
                          y_label="latitude (deg)", x_range=(-180.0, 180.0),
@@ -155,8 +194,7 @@ def _cmd_groundtrack(args) -> int:
         fig.series.append(svgplot.Series(
             xs=[p.lon for _, p in seg], ys=[p.lat for _, p in seg],
             color="#1f77b4", width=1.0))
-    svg_path = _out_path(args, "groundtrack.svg")
-    _write_text(svg_path, svgplot.render(fig))
+    svg_path = _write_text(args, "groundtrack.svg", svgplot.render(fig))
     print(f"wrote {csv_path} and {svg_path} ({len(track)} points)")
     return 0
 
@@ -164,8 +202,7 @@ def _cmd_groundtrack(args) -> int:
 def _cmd_passes(args) -> int:
     el = _load_elements(args.elements)
     station = _parse_station(args.station, args.station_name)
-    traj = propagate(kepler.elements_to_state(el), args.hours * 3600.0,
-                     dt=args.dt)
+    traj = _propagate(args, el)
     passes = geotrack.find_passes(traj, station, criterion=args.criterion,
                                   fov_deg=args.fov_deg)
     lines = ["aos_jd,aos_utc,los_jd,los_utc,duration_s,"
@@ -175,8 +212,7 @@ def _cmd_passes(args) -> int:
             _rp(p.aos.jd), format_epoch(p.aos), _rp(p.los.jd),
             format_epoch(p.los), _rp(p.duration), _rp(p.max_elevation),
             p.direction]))
-    path = _out_path(args, "passes.csv")
-    _write_text(path, "\n".join(lines) + "\n")
+    path = _write_text(args, "passes.csv", "\n".join(lines) + "\n")
 
     label = station.name or args.station
     print(f"{len(passes)} passes for {label}")
@@ -197,8 +233,7 @@ def _cmd_tle_parse(args) -> int:
     lines = [ELEMENTS_CSV_HEADER]
     for rec in records:
         lines.append(kepler.elements_to_row(tle.tle_to_elements(rec)))
-    path = _out_path(args, "elements.csv")
-    _write_text(path, "\n".join(lines) + "\n")
+    path = _write_text(args, "elements.csv", "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(records)} records)")
     return 0
 
@@ -206,20 +241,7 @@ def _cmd_tle_parse(args) -> int:
 def _cmd_srp_year(args) -> int:
     el = _load_elements(args.elements)
     cfg = _parse_config(args.config, args.shadow)
-    sun, table = _sun_source(args)
-    if table is None:
-        table = ephemeris.analytic_sun_table(
-            parse_epoch(args.start).jd, parse_epoch(args.stop).jd,
-            step_days=args.step_days)
-    samples = srp.srp_year_series(table, srp.two_body_position(el), cfg)
-    lines = ["jd,ax_km_s2,ay_km_s2,az_km_s2,mag_km_s2,mag_km_day2,nu"]
-    for s in samples:
-        lines.append(",".join([
-            _rp(s.epoch.jd), _rp(s.accel[0]), _rp(s.accel[1]),
-            _rp(s.accel[2]), _rp(s.magnitude),
-            _rp(srp.km_s2_to_km_day2(s.magnitude)), str(s.nu)]))
-    csv_path = _out_path(args, "srp_year.csv")
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    csv_path, samples = _write_srp_year(args, el, cfg)
 
     jd0 = samples[0].epoch.jd
     fig = svgplot.Figure(
@@ -228,8 +250,7 @@ def _cmd_srp_year(args) -> int:
     fig.series.append(svgplot.Series(
         xs=[s.epoch.jd - jd0 for s in samples],
         ys=[srp.km_s2_to_km_day2(s.magnitude) for s in samples]))
-    svg_path = _out_path(args, "srp_year.svg")
-    _write_text(svg_path, svgplot.render(fig))
+    svg_path = _write_text(args, "srp_year.svg", svgplot.render(fig))
 
     lit = [s.magnitude for s in samples if s.nu]
     ratio = f"{max(lit) / min(lit):.4f}" if lit else "n/a"
@@ -240,35 +261,19 @@ def _cmd_srp_year(args) -> int:
 
 def _cmd_srp_sweep(args) -> int:
     el = _load_elements(args.elements)
-    entries = srp.perturb_sweep(args.start, args.step, args.count, el,
-                                per_orbit_exposure=args.exposure)
-    lines = ["a_srp_km_day2,delta_i_rad,i_deg_new"]
-    el_lines = [ELEMENTS_CSV_HEADER]
-    for entry in entries:
-        lines.append(",".join([
-            _rp(entry.a_srp_km_day2), _rp(entry.delta_i),
-            _rp(math.degrees(entry.elements.i))]))
-        el_lines.append(kepler.elements_to_row(entry.elements))
-    sweep_path = _out_path(args, "sweep.csv")
-    _write_text(sweep_path, "\n".join(lines) + "\n")
-    el_path = _out_path(args, "sweep_elements.csv")
-    _write_text(el_path, "\n".join(el_lines) + "\n")
-    made = [sweep_path, el_path]
+    made, entries = _write_sweep(args, el, args.start, args.step, args.count)
 
     if args.compare:
-        hours = args.hours
-        base = propagate(kepler.elements_to_state(el), hours * 3600.0,
-                         dt=args.dt)
-        pert = propagate(kepler.elements_to_state(entries[0].elements),
-                         hours * 3600.0, dt=args.dt)
+        base = _propagate(args, el)
+        pert = _propagate(args, entries[0].elements)
         sep = np.linalg.norm(pert.r - base.r, axis=1)
         fig = svgplot.Figure(
             title="separation after inclination change",
             x_label="hours", y_label="separation (km)")
         fig.series.append(svgplot.Series(xs=list(base.t / 3600.0),
                                          ys=list(sep)))
-        cmp_path = _out_path(args, "sweep_compare.svg")
-        _write_text(cmp_path, svgplot.render(fig))
+        cmp_path = _write_text(args, "sweep_compare.svg",
+                               svgplot.render(fig))
         made.append(cmp_path)
 
     print(f"wrote {', '.join(made)} ({len(entries)} entries)")
@@ -300,8 +305,7 @@ def _cmd_ml_train(args) -> int:
     fig.series.append(svgplot.Series(xs=list(actual), ys=list(preds[:, z]),
                                      mode="points", color="#d62728",
                                      label="validation rows"))
-    fit_path = _out_path(args, "fit.svg")
-    _write_text(fit_path, svgplot.render(fig))
+    fit_path = _write_text(args, "fit.svg", svgplot.render(fig))
     print(f"wrote {model_path} and {fit_path} "
           f"({len(train_ds)} train / {len(val_ds)} validation rows)")
     return 0
@@ -324,44 +328,18 @@ def _cmd_ml_predict(args) -> int:
 def _cmd_pipeline(args) -> int:
     el = _load_elements(args.elements)
     cfg = _parse_config(args.config, args.shadow)
-    sun, table = _sun_source(args)
-    if table is None:
-        table = ephemeris.analytic_sun_table(
-            parse_epoch(args.start).jd, parse_epoch(args.stop).jd,
-            step_days=args.step_days)
 
     # 1. acceleration series over the span
-    samples = srp.srp_year_series(table, srp.two_body_position(el), cfg)
-    year_lines = ["jd,ax_km_s2,ay_km_s2,az_km_s2,mag_km_s2,mag_km_day2,nu"]
-    for s in samples:
-        year_lines.append(",".join([
-            _rp(s.epoch.jd), _rp(s.accel[0]), _rp(s.accel[1]),
-            _rp(s.accel[2]), _rp(s.magnitude),
-            _rp(srp.km_s2_to_km_day2(s.magnitude)), str(s.nu)]))
-    year_path = _out_path(args, "srp_year.csv")
-    _write_text(year_path, "\n".join(year_lines) + "\n")
+    year_path, samples = _write_srp_year(args, el, cfg)
 
     # 2. inclination sweep
-    entries = srp.perturb_sweep(args.sweep_start, args.sweep_step,
-                                args.sweep_count, el,
-                                per_orbit_exposure=args.exposure)
-    sweep_lines = ["a_srp_km_day2,delta_i_rad,i_deg_new"]
-    el_lines = [ELEMENTS_CSV_HEADER]
-    for entry in entries:
-        sweep_lines.append(",".join([
-            _rp(entry.a_srp_km_day2), _rp(entry.delta_i),
-            _rp(math.degrees(entry.elements.i))]))
-        el_lines.append(kepler.elements_to_row(entry.elements))
-    sweep_path = _out_path(args, "sweep.csv")
-    _write_text(sweep_path, "\n".join(sweep_lines) + "\n")
-    _write_text(_out_path(args, "sweep_elements.csv"),
-                "\n".join(el_lines) + "\n")
+    (sweep_path, _), entries = _write_sweep(
+        args, el, args.sweep_start, args.sweep_step, args.sweep_count)
 
     # 3. re-propagated trajectory of the first perturbed element set
-    traj = propagate(kepler.elements_to_state(entries[0].elements),
-                     args.hours * 3600.0, dt=args.dt)
-    traj_path = _out_path(args, "trajectory_perturbed.csv")
-    _write_text(traj_path, _trajectory_csv(traj))
+    traj = _propagate(args, entries[0].elements)
+    traj_path = _write_text(args, "trajectory_perturbed.csv",
+                            _trajectory_csv(traj))
 
     # 4. regression dataset
     ds = mlreg.generate_dataset(entries, cfg)
@@ -397,6 +375,7 @@ def _add_config_flags(p):
                    help="shadow handling (default force-lit: nu = 1)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="leosrp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -504,7 +483,7 @@ def build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = build_parser()
+    parser = build_parser()  # built on the first call, then reused
     try:
         args = parser.parse_args(argv)
     except _UsageError:

@@ -1,4 +1,4 @@
-"""Solar and lunar position tables: query, parse, interpolate, shadow test.
+"""Sun position tables: query, parse, interpolate, shadow test.
 
 Three sources feed the same table type: vector-table text from the JPL
 Horizons API (cached on disk), a simplified ``jd,x,y,z`` CSV, and a built-in
@@ -24,35 +24,19 @@ from .timeframe import CONSTANTS, Epoch
 HORIZONS_URL = "https://ssd.jpl.nasa.gov/api/horizons.api"
 
 #: Horizons COMMAND codes for the supported bodies.
-BODY_COMMANDS = {"sun": "10", "moon": "301", "earth": "399"}
-
-#: Horizons CENTER strings: geocentric vs solar-system barycenter.
-CENTERS = {"geocentric": "500@399", "barycentric": "500@0"}
+BODY_COMMANDS = {"sun": "10"}
 
 
 @dataclass(frozen=True)
 class EphemerisRecord:
-    """Body positions at one epoch, km.
-
-    sun_geocentric is always present; the barycentric Earth and the Moon
-    entries are carried when a source provides them and are not used by the
-    radiation-pressure force model.
-    """
+    """Geocentric Sun position at one epoch, km."""
 
     epoch: Epoch
     sun_geocentric: np.ndarray
-    earth_barycentric: np.ndarray | None = None
-    moon_geocentric: np.ndarray | None = None
-    moon_barycentric: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sun_geocentric",
                            _as_vec3(self.sun_geocentric, "sun_geocentric"))
-        for name in ("earth_barycentric", "moon_geocentric",
-                     "moon_barycentric"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _as_vec3(val, name))
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
@@ -92,38 +76,9 @@ class EphemerisTable:
         return self._jds[0], self._jds[-1]
 
     @classmethod
-    def from_components(cls, sun_geocentric, earth_barycentric=None,
-                        moon_geocentric=None, moon_barycentric=None):
-        """Assemble a table from per-body (Epoch, position) sequences.
-
-        The Sun series defines the epochs; other series must share them
-        exactly when given.
-        """
-        sun = list(sun_geocentric)
-        others = {"earth_barycentric": earth_barycentric,
-                  "moon_geocentric": moon_geocentric,
-                  "moon_barycentric": moon_barycentric}
-        extras = {}
-        for name, series in others.items():
-            if series is None:
-                continue
-            series = list(series)
-            if len(series) != len(sun):
-                raise FormatError(
-                    f"{name} series has {len(series)} records, "
-                    f"sun series has {len(sun)}")
-            for (es, _), (eo, _) in zip(sun, series):
-                if abs(es.jd - eo.jd) > 1e-9:
-                    raise FormatError(
-                        f"{name} epochs do not match the sun series "
-                        f"(jd {eo.jd} vs {es.jd})")
-            extras[name] = [pos for _, pos in series]
-        records = []
-        for k, (epoch, pos) in enumerate(sun):
-            records.append(EphemerisRecord(
-                epoch=epoch, sun_geocentric=pos,
-                **{name: vals[k] for name, vals in extras.items()}))
-        return cls(records)
+    def from_components(cls, sun_geocentric):
+        """Assemble a table from a Sun (Epoch, position) sequence."""
+        return cls(EphemerisRecord(*row) for row in sun_geocentric)
 
 
 def parse_horizons_vectors(text: str, body: str | None = None,
@@ -211,22 +166,15 @@ def _http_get(url: str, params: dict) -> str:
         return resp.read().decode(charset)
 
 
-def _cache_name(body: str, center: str, jd_start: float, jd_stop: float,
-                step_days: float) -> str:
-    return (f"horizons_{body}_{center}_{jd_start:.6f}_{jd_stop:.6f}_"
-            f"{step_days:g}d.txt")
-
-
 def fetch_horizons(body: str, jd_start: float, jd_stop: float,
-                   step_days: float = 1.0, center: str = "geocentric",
+                   step_days: float = 1.0,
                    cache_dir: str | None = None) -> str:
-    """Fetch vector-table text from the Horizons API, with a disk cache.
+    """Fetch geocentric vector-table text from the Horizons API, cached.
 
     Args:
-        body: "sun", "moon", or "earth".
+        body: "sun".
         jd_start, jd_stop: Query span, Julian dates.
         step_days: Sample step in days.
-        center: "geocentric" or "barycentric".
         cache_dir: Directory for cached responses; created if needed.  When
             a cached file exists it is returned without touching the network.
 
@@ -235,22 +183,20 @@ def fetch_horizons(body: str, jd_start: float, jd_stop: float,
 
     Raises:
         FetchError: On any transport failure (includes an offline hint).
-        DomainError: On an unknown body/center or an empty span.
+        DomainError: On an unknown body or an empty span.
     """
     key = body.strip().lower()
     if key not in BODY_COMMANDS:
         raise DomainError(
             f"unknown body {body!r}; supported: {sorted(BODY_COMMANDS)}")
-    if center not in CENTERS:
-        raise DomainError(
-            f"unknown center {center!r}; supported: {sorted(CENTERS)}")
     if not jd_stop > jd_start:
         raise DomainError(f"empty span: jd_stop {jd_stop} <= jd_start {jd_start}")
 
     cache_path = None
     if cache_dir is not None:
         cache_path = os.path.join(
-            cache_dir, _cache_name(key, center, jd_start, jd_stop, step_days))
+            cache_dir, f"horizons_{key}_geocentric_{jd_start:.6f}_"
+            f"{jd_stop:.6f}_{step_days:g}d.txt")
         if os.path.exists(cache_path):
             with open(cache_path, "r", encoding="utf-8") as fh:
                 return fh.read()
@@ -261,7 +207,7 @@ def fetch_horizons(body: str, jd_start: float, jd_stop: float,
         "OBJ_DATA": "'NO'",
         "MAKE_EPHEM": "'YES'",
         "EPHEM_TYPE": "'VECTORS'",
-        "CENTER": f"'{CENTERS[center]}'",
+        "CENTER": "'500@399'",  # geocentric
         "START_TIME": f"'JD{jd_start:.9f}'",
         "STOP_TIME": f"'JD{jd_stop:.9f}'",
         "STEP_SIZE": f"'{step_days:g} d'",
@@ -359,8 +305,7 @@ def lerp(a, b, w: float):
 def interpolate(table: EphemerisTable, epoch: Epoch) -> EphemerisRecord:
     """Linear per-component interpolation between bracketing records.
 
-    Exact at table nodes.  Optional bodies interpolate only when both
-    bracketing records carry them.
+    Exact at table nodes.
 
     Raises:
         EphemerisRangeError: If epoch is outside the table span.
@@ -369,18 +314,8 @@ def interpolate(table: EphemerisTable, epoch: Epoch) -> EphemerisRecord:
     if k == len(table) - 1:
         return table.records[-1]
     lo, hi = table.records[k], table.records[k + 1]
-
-    def mix(aval, bval):
-        if aval is None or bval is None:
-            return None
-        return lerp(aval, bval, w)
-
-    return EphemerisRecord(
-        epoch=epoch,
-        sun_geocentric=mix(lo.sun_geocentric, hi.sun_geocentric),
-        earth_barycentric=mix(lo.earth_barycentric, hi.earth_barycentric),
-        moon_geocentric=mix(lo.moon_geocentric, hi.moon_geocentric),
-        moon_barycentric=mix(lo.moon_barycentric, hi.moon_barycentric))
+    return EphemerisRecord(epoch,
+                           lerp(lo.sun_geocentric, hi.sun_geocentric, w))
 
 
 def shadow_nu(x: float, y: float, z: float,

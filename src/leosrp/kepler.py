@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateOrbitError, DomainError,
-                     FormatError)
-from .timeframe import CONSTANTS, Epoch
+                     FormatError, InvalidDateError)
+from .timeframe import CONSTANTS, Epoch, epoch_from_jd
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,9 +325,13 @@ def elements_from_row(line: str, path: str | None = None,
         raise FormatError(f"non-numeric element field: {exc}",
                           path=path, line=lineno) from None
     a, e, i_deg, raan_deg, argp_deg, f_deg, jd = vals
+    try:
+        epoch = epoch_from_jd(jd)
+    except InvalidDateError as exc:
+        raise FormatError(str(exc), path=path, line=lineno) from None
     return KeplerianElements(a, e, math.radians(i_deg), math.radians(raan_deg),
                              math.radians(argp_deg), math.radians(f_deg),
-                             Epoch(jd))
+                             epoch)
 
 
 def read_elements_csv(path: str) -> list[KeplerianElements]:

@@ -285,7 +285,7 @@ def save_model(model: PositionModel, path: str) -> None:
         lines.append(f"weights.{name}={_csv_floats(reg.weights)}")
         lines.append(f"bias.{name}={reg.bias!r}")
         if len(reg.loss_history):
-            lines.append(f"final_loss.{name}={reg.loss_history[-1]!r}")
+            lines.append(f"final_loss.{name}={float(reg.loss_history[-1])!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

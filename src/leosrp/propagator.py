@@ -24,6 +24,9 @@ from .errors import DegenerateOrbitError, DomainError
 from .kepler import StateVector
 from .timeframe import CONSTANTS, Epoch
 
+#: Most RK4 steps one propagate call takes (about 3.2 years at dt 10 s).
+MAX_STEPS = 10_000_000
+
 
 def two_body_accel(r, mu: float = CONSTANTS.mu_earth) -> np.ndarray:
     """Central-body acceleration -mu * r / |r|^3, km/s^2.
@@ -165,7 +168,8 @@ def propagate(state0: StateVector, duration: float, dt: float = 10.0,
         propagation continues.
 
     Raises:
-        DomainError: If duration or dt is not positive and finite.
+        DomainError: If duration or dt is not positive and finite, or the
+            span needs more than MAX_STEPS steps.
         DegenerateOrbitError: If a stage position reaches |r| = 0.
     """
     if not (duration > 0.0 and math.isfinite(duration)):
@@ -173,6 +177,9 @@ def propagate(state0: StateVector, duration: float, dt: float = 10.0,
             f"duration must be positive and finite, got {duration}")
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"step must be positive and finite, got {dt}")
+    if duration / dt > MAX_STEPS:
+        raise DomainError(f"duration {duration} s at step {dt} s needs "
+                          f"more than {MAX_STEPS} steps")
 
     n_full = int(duration / dt + 1e-9)
     remainder = duration - n_full * dt

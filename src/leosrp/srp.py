@@ -12,7 +12,9 @@ exposure window follows from the out-of-plane component W through
 
     delta_i = (1 / (n a)) * integral W(t) cos(u(t)) dt
 
-evaluated with composite trapezoid quadrature.
+For the constant W of a sweep the integral is W (sin u1 - sin u0) / n in
+closed form; inclination_delta evaluates general W(t) profiles with
+composite trapezoid quadrature.
 """
 
 from __future__ import annotations
@@ -297,15 +299,16 @@ def inclination_delta(w_fn, u_fn, n: float, a: float,
 
 def perturb_sweep(a_start_km_day2: float, step_km_day2: float, count: int,
                   el0: KeplerianElements, per_orbit_exposure: float = 0.5,
-                  quad_dt: float | None = None,
                   mu: float = CONSTANTS.mu_earth) -> list[SweepEntry]:
     """Sweep acceleration magnitudes into perturbed element sets.
 
     Each entry applies a constant out-of-plane acceleration W over an
-    exposure window that starts at argument of latitude u = -pi/2 and spans
+    exposure window that starts at argument of latitude u0 = -pi/2 and spans
     the given fraction of one orbital period (the default half period ends
-    at u = +pi/2, where the cos(u) integral is maximal).  Only the
-    inclination changes: i_new = i + delta_i.
+    at u1 = +pi/2, where the cos(u) integral is maximal).  Only the
+    inclination changes: i_new = i + delta_i, with the closed form
+
+        delta_i = W (sin u1 - sin u0) / (n^2 a) = W (sin u1 + 1) a^2 / mu.
 
     Args:
         a_start_km_day2: First magnitude, km/day^2.
@@ -314,7 +317,6 @@ def perturb_sweep(a_start_km_day2: float, step_km_day2: float, count: int,
         el0: Base orbit; must be circular (e < 1e-6).
         per_orbit_exposure: Window length as a fraction of the period,
             in (0, 1].
-        quad_dt: Trapezoid step, seconds; default period / 4096.
 
     Raises:
         DomainError: If el0 is not circular or the parameters are out of
@@ -331,21 +333,13 @@ def perturb_sweep(a_start_km_day2: float, step_km_day2: float, count: int,
     if a_start_km_day2 < 0.0 or step_km_day2 < 0.0:
         raise DomainError("sweep magnitudes must be non-negative")
 
-    a = el0.a
-    n = math.sqrt(mu / a ** 3)
-    period = 2.0 * math.pi / n
-    window = per_orbit_exposure * period
-    dt = period / 4096.0 if quad_dt is None else quad_dt
-
-    def u_of_t(t):
-        return -0.5 * math.pi + n * t
+    u1 = -0.5 * math.pi + 2.0 * math.pi * per_orbit_exposure
+    di_per_w = (math.sin(u1) + 1.0) * el0.a ** 2 / mu
 
     entries = []
     for k in range(count):
         mag_day = a_start_km_day2 + k * step_km_day2
-        w = km_day2_to_km_s2(mag_day)
-        delta_i = inclination_delta(lambda t: w, u_of_t, n, a,
-                                    0.0, window, dt)
+        delta_i = km_day2_to_km_s2(mag_day) * di_per_w
         entries.append(SweepEntry(
             a_srp_km_day2=mag_day, delta_i=delta_i,
             elements=replace(el0, i=el0.i + delta_i)))

@@ -119,6 +119,24 @@ def calendar_to_jd(year: int, month: int, day: int,
     return Epoch(jdn - 0.5 + frac)
 
 
+#: Julian-date window of the supported years: [JD_MIN, JD_MAX).
+JD_MIN = calendar_to_jd(YEAR_MIN, 1, 1).jd
+JD_MAX = calendar_to_jd(YEAR_MAX, 12, 31).jd + 1.0
+
+
+def epoch_from_jd(jd: float) -> Epoch:
+    """Epoch for a raw Julian date read from input.
+
+    Raises:
+        InvalidDateError: If jd is not finite or falls outside the supported
+            years [YEAR_MIN, YEAR_MAX].
+    """
+    if not JD_MIN <= jd < JD_MAX:
+        raise InvalidDateError(f"julian date {jd} outside supported years "
+                               f"[{YEAR_MIN}, {YEAR_MAX}]")
+    return Epoch(jd)
+
+
 def jd_to_calendar(epoch: Epoch | float) -> tuple[int, int, int, int, int, float]:
     """Convert an Epoch (or raw Julian date) back to calendar components.
 
@@ -168,7 +186,8 @@ def parse_epoch(text: str) -> Epoch:
 
     Raises:
         FormatError: If the text is neither form.
-        InvalidDateError: If an ISO date has out-of-range components.
+        InvalidDateError: If an ISO date has out-of-range components, or a
+            Julian date is not finite or outside the supported years.
     """
     text = text.strip()
     m = _ISO_RE.match(text)
@@ -177,11 +196,12 @@ def parse_epoch(text: str) -> Epoch:
         second = float(m.group(6))
         return calendar_to_jd(year, month, day, hour, minute, second)
     try:
-        return Epoch(float(text))
+        jd = float(text)
     except ValueError:
         raise FormatError(
             f"epoch {text!r} is neither a Julian date nor ISO-8601 "
             "YYYY-MM-DDThh:mm:ss") from None
+    return epoch_from_jd(jd)
 
 
 def format_epoch(epoch: Epoch) -> str:

@@ -1,4 +1,6 @@
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from leosrp import cli, ephemeris
 from leosrp.kepler import elements_to_state, orbital_period
 from leosrp.mlreg import read_dataset_csv
+from leosrp.propagator import propagate
 
 HORIZONS_SNIPPET = """\
 $$SOE
@@ -255,3 +258,42 @@ def test_fetch_path_uses_cache(elements_csv, tmp_path, monkeypatch):
     assert len(calls) == 1
     assert run_cli(*args, "--out", str(tmp_path / "run2")) == 0
     assert len(calls) == 1  # second run came from the cache
+
+
+def test_ephem_file_is_closed(elements_csv, tmp_path):
+    table = tmp_path / "sun.txt"
+    table.write_text(HORIZONS_SNIPPET)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run_cli("propagate", "--elements", elements_csv, "--srp",
+                       "--hours", "0.1", "--ephem", str(table),
+                       "--out", str(tmp_path / "prop")) == 0
+        assert run_cli("srp", "year", "--elements", elements_csv,
+                       "--ephem", str(table),
+                       "--out", str(tmp_path / "year")) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("span", [("--hours", "1e300"),
+                                  ("--hours", "1e6", "--dt", "0.1")])
+def test_propagate_step_bound_is_data_error(elements_csv, tmp_path, capsys,
+                                            span):
+    out = str(tmp_path / "run")
+    assert run_cli("propagate", "--elements", elements_csv, *span,
+                   "--out", out) == 2
+    assert "steps" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "trajectory.csv"))
+
+
+def test_parser_reuse_leaks_no_state(el0, elements_csv, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    srp_out, plain_out = str(tmp_path / "srp"), str(tmp_path / "plain")
+    assert run_cli("propagate", "--elements", elements_csv, "--srp",
+                   "--hours", "0.1", "--out", srp_out) == 0
+    assert run_cli("propagate", "--elements", elements_csv,
+                   "--hours", "0.1", "--out", plain_out) == 0
+    two_body = cli._trajectory_csv(
+        propagate(elements_to_state(el0), 0.1 * 3600.0, dt=10.0))
+    assert read(os.path.join(plain_out, "trajectory.csv")) == two_body
+    assert read(os.path.join(srp_out, "trajectory.csv")) != two_body

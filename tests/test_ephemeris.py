@@ -142,7 +142,10 @@ def test_fetch_uses_cache(tmp_path, monkeypatch):
                            cache_dir=str(tmp_path))
     assert text2 == HORIZONS_TEXT
     assert len(calls) == 1
-    assert len(os.listdir(tmp_path)) == 1
+    assert os.listdir(tmp_path) == [
+        "horizons_sun_geocentric_2459905.500000_2459907.500000_1d.txt"]
+    assert calls[0]["COMMAND"] == "'10'"
+    assert calls[0]["CENTER"] == "'500@399'"
 
 
 def test_fetch_offline_error(tmp_path, monkeypatch):
@@ -204,10 +207,15 @@ def test_http_get_transport(local_server):
         ephemeris._http_get(base + "/missing", params)
 
 
-def test_fetch_unknown_body(tmp_path):
-    with pytest.raises(DomainError):
-        fetch_horizons("pluto-express", 2459905.5, 2459907.5,
-                       cache_dir=str(tmp_path))
+def test_fetch_unknown_body(tmp_path, monkeypatch):
+    def no_get(url, params):
+        raise AssertionError("unknown body reached the transport")
+
+    monkeypatch.setattr(ephemeris, "_http_get", no_get)
+    for body in ("pluto-express", "moon"):
+        with pytest.raises(DomainError):
+            fetch_horizons(body, 2459905.5, 2459907.5,
+                           cache_dir=str(tmp_path))
 
 
 # --- shadow geometry ---

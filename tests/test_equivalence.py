@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leosrp.ephemeris import (analytic_sun_table, interpolate, shadow_factor,
@@ -109,8 +109,13 @@ def test_table_provider_range_error(offset):
         hook(np.array([7000.0, 0.0, 0.0]), np.zeros(3), Epoch(jd))
 
 
+# radius stops short of R_E: scaling a direction to exactly R_E can round
+# its norm up by an ulp, which is above the surface; the example below keeps
+# the exact boundary, on an axis where the norm is exact.
 @settings(max_examples=200, deadline=None)
-@given(radius=st.floats(0.0, R_E), epoch=epochs,
+@example(radius=R_E, epoch=Epoch(JD0), source="analytic",
+         direction=(1.0, 0.0, 0.0))
+@given(radius=st.floats(0.0, R_E * (1.0 - 1e-12)), epoch=epochs,
        source=st.sampled_from(sorted(SUNS)),
        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda d: math.hypot(*d) > 1e-3))

@@ -190,3 +190,15 @@ def test_read_elements_csv_errors(tmp_path):
     with pytest.raises(FormatError) as err:
         read_elements_csv(str(path))
     assert "bad.csv:2" in str(err.value)
+
+
+@pytest.mark.parametrize("jd", ["inf", "nan", "-inf", "1e300", "0"])
+def test_read_elements_csv_rejects_bad_epoch(tmp_path, jd):
+    path = tmp_path / "epoch.csv"
+    path.write_text(ELEMENTS_CSV_HEADER + "\n"
+                    "6928.18,0.0,98.6,7.0,180.0,0.0,2459905.5\n"
+                    f"6928.18,0.0,98.6,7.0,180.0,0.0,{jd}\n")
+    with pytest.raises(FormatError) as err:
+        read_elements_csv(str(path))
+    assert "epoch.csv:3" in str(err.value)
+    assert "julian date" in str(err.value)

@@ -152,6 +152,22 @@ def test_model_save_load_round_trip(tmp_path):
                           predict(model, ds.features))
 
 
+def test_saved_model_values_are_plain_floats(tmp_path):
+    ds = toy_dataset()
+    model = train(ds, lr=0.05, epochs=50)
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    keys = set()
+    for line in path.read_text().splitlines():
+        key, value = line.split("=", 1)
+        keys.add(key)
+        if key in ("format", "feature_names", "target_names"):
+            continue
+        for field in value.split(","):
+            float(field)
+    assert {"final_loss.t1", "final_loss.t2", "bias.t1", "lr"} <= keys
+
+
 def test_load_model_rejects_junk(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")

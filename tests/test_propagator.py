@@ -6,8 +6,8 @@ import pytest
 from leosrp.errors import DomainError
 from leosrp.kepler import (KeplerianElements, elements_at, elements_to_state,
                            orbital_period)
-from leosrp.propagator import (angular_momentum, propagate, rk4_step,
-                               specific_energy, two_body_accel)
+from leosrp.propagator import (MAX_STEPS, angular_momentum, propagate,
+                               rk4_step, specific_energy, two_body_accel)
 from leosrp.timeframe import CONSTANTS, Epoch
 
 EPOCH = Epoch(2459905.5)
@@ -61,6 +61,15 @@ def test_propagate_argument_checks():
 def test_propagate_rejects_non_finite(duration, dt):
     _, sv = circ_state()
     with pytest.raises(DomainError):
+        propagate(sv, duration, dt=dt)
+
+
+@pytest.mark.parametrize("duration, dt", [
+    (1e300, 10.0), (3.6e9, 0.1), ((MAX_STEPS + 1) * 10.0, 10.0),
+    (100.0, 1e-320)])
+def test_propagate_rejects_too_many_steps(duration, dt):
+    _, sv = circ_state()
+    with pytest.raises(DomainError, match="steps"):
         propagate(sv, duration, dt=dt)
 
 

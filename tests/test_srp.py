@@ -193,6 +193,28 @@ def test_sweep_scales_with_magnitude(el0):
     assert entries[0].delta_i == pytest.approx(expect, rel=1e-5)
 
 
+def test_sweep_closed_form(el0):
+    a = el0.a
+    n = math.sqrt(CONSTANTS.mu_earth / a ** 3)
+    period = 2.0 * math.pi / n
+    for exposure in (0.25, 0.5):
+        u1 = -0.5 * math.pi + 2.0 * math.pi * exposure
+        entries = perturb_sweep(0.00994, 1e-4, 5, el0,
+                                per_orbit_exposure=exposure)
+        for entry in entries:
+            w = km_day2_to_km_s2(entry.a_srp_km_day2)
+            expect = w * (math.sin(u1) + 1.0) / (n ** 2 * a)
+            assert entry.delta_i == pytest.approx(expect, rel=1e-12)
+            quad = inclination_delta(lambda t: w,
+                                     lambda t: -0.5 * math.pi + n * t, n, a,
+                                     0.0, exposure * period, period / 4096.0)
+            assert entry.delta_i == pytest.approx(quad, rel=1e-6)
+    # a full period integrates cos(u) to zero
+    scale = 2.0 * km_day2_to_km_s2(0.00994) / (n ** 2 * a)
+    entry = perturb_sweep(0.00994, 0.0, 1, el0, per_orbit_exposure=1.0)[0]
+    assert abs(entry.delta_i) < 1e-12 * scale
+
+
 def test_sweep_rejects_eccentric(el0):
     ecc = KeplerianElements(a=el0.a, e=0.01, i=el0.i, raan=el0.raan,
                             argp=el0.argp, true_anomaly=el0.true_anomaly,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from leosrp.errors import FormatError, InvalidDateError
-from leosrp.timeframe import (CONSTANTS, Epoch, calendar_to_jd, format_epoch,
+from leosrp.timeframe import (CONSTANTS, JD_MAX, JD_MIN, Epoch,
+                              calendar_to_jd, epoch_from_jd, format_epoch,
                               gmst, jd_to_calendar, parse_epoch)
 
 
@@ -86,6 +87,24 @@ def test_parse_epoch_forms():
         parse_epoch("22 Nov 2022")
     with pytest.raises(InvalidDateError):
         parse_epoch("2022-11-22T25:00:00")
+
+
+@pytest.mark.parametrize("text", [
+    "nan", "inf", "-inf", "1e300", "-1e300", "0", "2433282.4999",
+    "2506696.5"])
+def test_parse_epoch_rejects_bad_julian_dates(text):
+    with pytest.raises(InvalidDateError):
+        parse_epoch(text)
+
+
+def test_julian_date_window_matches_calendar():
+    assert JD_MIN == calendar_to_jd(1950, 1, 1).jd
+    assert epoch_from_jd(JD_MIN).jd == JD_MIN
+    last = calendar_to_jd(2150, 12, 31, 23, 59, 59.999).jd
+    assert epoch_from_jd(last).jd == last < JD_MAX
+    with pytest.raises(InvalidDateError):
+        calendar_to_jd(2151, 1, 1)
+    assert parse_epoch("2506696.4").jd == 2506696.4
 
 
 def test_format_epoch_round_trip():
