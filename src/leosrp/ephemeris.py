@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, EphemerisRangeError, FetchError,
-                     FormatError)
-from .timeframe import CONSTANTS, Epoch
+                     FormatError, InvalidDateError)
+from .timeframe import CONSTANTS, Epoch, epoch_from_jd
 
 HORIZONS_URL = "https://ssd.jpl.nasa.gov/api/horizons.api"
 
@@ -55,7 +55,7 @@ class EphemerisTable:
             raise DomainError("ephemeris table needs at least one record")
         jds = [rec.epoch.jd for rec in records]
         for k in range(1, len(jds)):
-            if jds[k] <= jds[k - 1]:
+            if not jds[k] > jds[k - 1]:
                 raise FormatError(
                     f"ephemeris epochs not strictly increasing at index {k} "
                     f"(jd {jds[k]} after {jds[k - 1]})")
@@ -90,7 +90,8 @@ def parse_horizons_vectors(text: str, body: str | None = None,
     CSV form with a header line followed by ``jd,x,y,z`` rows.
 
     Raises:
-        FormatError: Markers or fields missing, or epochs out of order.
+        FormatError: Markers or fields missing, a non-finite position, an
+            epoch outside the supported years, or epochs out of order.
     """
     label = f" for {body}" if body else ""
     if "$$SOE" in text:
@@ -116,13 +117,13 @@ def parse_horizons_vectors(text: str, body: str | None = None,
                     f"Horizons data row{label} has {len(nums)} numeric "
                     "fields, need jd plus x, y, z",
                     path=path, line=base + off)
-            rows.append((Epoch(nums[0]), np.array(nums[1:4])))
+            rows.append(_row(nums, label, path, base + off))
     else:
         rows = _parse_simple_csv(text, label, path)
     if not rows:
         raise FormatError(f"no ephemeris rows found{label}", path=path)
     for k in range(1, len(rows)):
-        if rows[k][0].jd <= rows[k - 1][0].jd:
+        if not rows[k][0].jd > rows[k - 1][0].jd:
             raise FormatError(
                 f"ephemeris epochs{label} not strictly increasing "
                 f"at row {k + 1}", path=path)
@@ -147,8 +148,27 @@ def _parse_simple_csv(text: str, label: str, path):
         except ValueError as exc:
             raise FormatError(f"non-numeric ephemeris field{label}: {exc}",
                               path=path, line=lineno) from None
-        rows.append((Epoch(vals[0]), np.array(vals[1:4])))
+        rows.append(_row(vals, label, path, lineno))
     return rows
+
+
+def _row(nums, label: str, path, line: int):
+    """(Epoch, position) from the jd, x, y, z values read at path:line.
+
+    Raises:
+        FormatError: If the position is not finite or the Julian date falls
+            outside the supported years.
+    """
+    x, y, z = nums[1:4]
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise FormatError(f"non-finite ephemeris position{label}",
+                          path=path, line=line)
+    try:
+        epoch = epoch_from_jd(nums[0])
+    except InvalidDateError as exc:
+        raise FormatError(f"ephemeris epoch{label}: {exc}",
+                          path=path, line=line) from None
+    return epoch, np.array(nums[1:4])
 
 
 def _http_get(url: str, params: dict) -> str:

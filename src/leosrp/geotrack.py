@@ -4,7 +4,9 @@ The Earth model is a rotating sphere: inertial-to-fixed is a single z-axis
 rotation by the sidereal angle, and geodetic quantities reduce to spherical
 latitude/longitude.  Visibility supports two criteria: station elevation
 above a mask angle, and a nadir-pointing field-of-view cone on the
-satellite.  Pass boundaries are refined by bisection to one second.
+satellite.  Samples are screened in one array pass; pass boundaries and
+the time of maximum elevation are then refined to PASS_TOL_S on a cubic
+Hermite interpolant of the sampled position and velocity.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .errors import DomainError
 from .timeframe import (CONSTANTS, Epoch, GMST_AT_J2000_DEG,
                         GMST_RATE_DEG_PER_DAY, JD_J2000, gmst)
 from .propagator import Trajectory
+
+#: AOS, LOS and the time of maximum elevation are refined to this, seconds.
+PASS_TOL_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,10 @@ def eci_to_ecef(r, epoch: Epoch) -> np.ndarray:
 
     A single z-rotation by the sidereal angle; the z component is unchanged.
     """
-    r = np.asarray(r, dtype=float)
+    x, y, z = np.asarray(r, dtype=float).tolist()
     theta = gmst(epoch)
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([c * r[0] + s * r[1], -s * r[0] + c * r[1], r[2]])
+    return np.array([c * x + s * y, -s * x + c * y, z])
 
 
 def _eci_to_ecef_batch(positions: np.ndarray, jds: np.ndarray) -> np.ndarray:
@@ -185,16 +190,6 @@ def slant_range(a_km: float, alpha_deg: float) -> float:
     return math.sqrt(max(d2, 0.0))
 
 
-def _enu_basis(point: GeoPoint):
-    la, lo = math.radians(point.lat), math.radians(point.lon)
-    east = np.array([-math.sin(lo), math.cos(lo), 0.0])
-    north = np.array([-math.sin(la) * math.cos(lo),
-                      -math.sin(la) * math.sin(lo), math.cos(la)])
-    up = np.array([math.cos(la) * math.cos(lo),
-                   math.cos(la) * math.sin(lo), math.sin(la)])
-    return east, north, up
-
-
 def elevation_azimuth(station: GroundStation, r_ecef) -> tuple[float, float]:
     """Topocentric elevation and azimuth of an Earth-fixed position.
 
@@ -204,28 +199,34 @@ def elevation_azimuth(station: GroundStation, r_ecef) -> tuple[float, float]:
     Raises:
         DomainError: If the position coincides with the station.
     """
-    r_ecef = np.asarray(r_ecef, dtype=float)
-    rho = r_ecef - geo_to_ecef(station.location)
-    rn = float(np.linalg.norm(rho))
+    x, y, z = np.asarray(r_ecef, dtype=float).tolist()
+    la = math.radians(station.location.lat)
+    lo = math.radians(station.location.lon)
+    sla, cla = math.sin(la), math.cos(la)
+    slo, clo = math.sin(lo), math.cos(lo)
+    rs = CONSTANTS.r_earth + station.location.alt
+    dx, dy, dz = x - rs * cla * clo, y - rs * cla * slo, z - rs * sla
+    rn = math.sqrt(dx * dx + dy * dy + dz * dz)
     if rn == 0.0:
         raise DomainError("look direction undefined: target at the station")
-    east, north, up = _enu_basis(station.location)
-    el = math.degrees(math.asin(float(np.dot(rho, up)) / rn))
-    az = math.degrees(math.atan2(float(np.dot(rho, east)),
-                                 float(np.dot(rho, north)))) % 360.0
+    up = cla * clo * dx + cla * slo * dy + sla * dz
+    east = -slo * dx + clo * dy
+    north = -sla * clo * dx - sla * slo * dy + cla * dz
+    el = math.degrees(math.asin(min(1.0, max(-1.0, up / rn))))
+    az = math.degrees(math.atan2(east, north)) % 360.0
     return el, az
 
 
 def nadir_angle(station: GroundStation, r_ecef) -> float:
     """Angle at the satellite between nadir and the station direction, deg."""
-    r_ecef = np.asarray(r_ecef, dtype=float)
-    to_center = -r_ecef
-    to_station = geo_to_ecef(station.location) - r_ecef
-    nc = float(np.linalg.norm(to_center))
-    ns = float(np.linalg.norm(to_station))
+    x, y, z = np.asarray(r_ecef, dtype=float).tolist()
+    sx, sy, sz = geo_to_ecef(station.location).tolist()
+    dx, dy, dz = sx - x, sy - y, sz - z
+    nc = math.sqrt(x * x + y * y + z * z)
+    ns = math.sqrt(dx * dx + dy * dy + dz * dz)
     if nc == 0.0 or ns == 0.0:
         raise DomainError("nadir angle undefined")
-    cosang = float(np.dot(to_center, to_station)) / (nc * ns)
+    cosang = -(x * dx + y * dy + z * dz) / (nc * ns)
     return math.degrees(math.acos(min(1.0, max(-1.0, cosang))))
 
 
@@ -239,7 +240,7 @@ def _visibility_metric(station: GroundStation, criterion: str,
     elif criterion == "fov":
         # the cone test alone also fires on the far side of the planet
         # (the station direction then runs near nadir), so require line
-        # of sight as well; min() keeps the metric continuous for bisection
+        # of sight as well; min() keeps the metric continuous for root finding
         def metric(r_ecef):
             el, _ = elevation_azimuth(station, r_ecef)
             return min(0.5 * fov_deg - nadir_angle(station, r_ecef), el)
@@ -249,26 +250,62 @@ def _visibility_metric(station: GroundStation, criterion: str,
     return metric
 
 
+def _screen(station: GroundStation, criterion: str, fov_deg: float,
+            ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Visibility metric and elevation, deg, for rows of ECEF positions.
+
+    The array form of _visibility_metric: the same elevation and nadir-angle
+    formulas as elevation_azimuth and nadir_angle, one numpy pass.
+
+    Raises:
+        DomainError: If a position coincides with the station.
+    """
+    site = geo_to_ecef(station.location)
+    up = site / (CONSTANTS.r_earth + station.location.alt)
+    rho = ecef - site
+    rn = np.linalg.norm(rho, axis=1)
+    if not rn.all():
+        raise DomainError("look direction undefined: target at the station")
+    el = np.degrees(np.arcsin(np.clip((rho @ up) / rn, -1.0, 1.0)))
+    if criterion == "elevation":
+        return el - station.mask_deg, el
+    # nadir is -ecef and the station direction is -rho
+    cosang = np.einsum("ij,ij->i", ecef, rho) / (
+        np.linalg.norm(ecef, axis=1) * rn)
+    nadir = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return np.minimum(0.5 * fov_deg - nadir, el), el
+
+
 def _interp_ecef(traj: Trajectory, t: float) -> np.ndarray:
-    """ECEF position at offset t, linear in the inertial samples."""
-    idx = np.searchsorted(traj.t, t)
-    if idx <= 0:
-        r_eci = traj.r[0]
-    elif idx >= len(traj.t):
-        r_eci = traj.r[-1]
-    else:
-        t0, t1 = traj.t[idx - 1], traj.t[idx]
-        w = (t - t0) / (t1 - t0)
-        r_eci = (1.0 - w) * traj.r[idx - 1] + w * traj.r[idx]
-    return eci_to_ecef(r_eci, traj.epoch0.plus_seconds(t))
+    """ECEF position at offset t, cubic Hermite on the inertial (r, v) samples.
+
+    Offsets outside the trajectory take the end sample's position.
+    """
+    ts = traj.t
+    idx = min(max(int(ts.searchsorted(t)), 1), len(ts) - 1)
+    t0, t1 = ts[idx - 1:idx + 1].tolist()
+    h = t1 - t0
+    s = min(max((t - t0) / h, 0.0), 1.0)
+    s2 = s * s
+    s3 = s2 * s
+    w1 = 3.0 * s2 - 2.0 * s3
+    w0 = 1.0 - w1
+    u0 = h * (s3 - 2.0 * s2 + s)
+    u1 = h * (s3 - s2)
+    (x0, y0, z0), (x1, y1, z1) = traj.r[idx - 1:idx + 1].tolist()
+    (vx0, vy0, vz0), (vx1, vy1, vz1) = traj.v[idx - 1:idx + 1].tolist()
+    return eci_to_ecef((w0 * x0 + w1 * x1 + u0 * vx0 + u1 * vx1,
+                        w0 * y0 + w1 * y1 + u0 * vy0 + u1 * vy1,
+                        w0 * z0 + w1 * z1 + u0 * vz0 + u1 * vz1),
+                       traj.epoch0.plus_seconds(t))
 
 
-def _bisect_crossing(metric, traj, t_lo, t_hi, tol=1.0):
-    """Find the metric zero between t_lo and t_hi to within tol seconds."""
-    f_lo = metric(_interp_ecef(traj, t_lo))
-    while t_hi - t_lo > tol:
+def _bisect_crossing(f, t_lo: float, t_hi: float) -> float:
+    """Zero of f(t) bracketed by [t_lo, t_hi], to within PASS_TOL_S."""
+    f_lo = f(t_lo)
+    while t_hi - t_lo > PASS_TOL_S:
         mid = 0.5 * (t_lo + t_hi)
-        f_mid = metric(_interp_ecef(traj, mid))
+        f_mid = f(mid)
         if (f_lo < 0.0) == (f_mid < 0.0):
             t_lo, f_lo = mid, f_mid
         else:
@@ -276,16 +313,41 @@ def _bisect_crossing(metric, traj, t_lo, t_hi, tol=1.0):
     return 0.5 * (t_lo + t_hi)
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of a unimodal f(t) on [lo, hi].
+
+    Returns (t, f(t)) for the best probe once the bracket is PASS_TOL_S wide.
+    """
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > PASS_TOL_S:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
 def find_passes(traj: Trajectory, station: GroundStation,
                 criterion: str = "elevation",
                 fov_deg: float = 27.3) -> list[PassWindow]:
     """Scan a trajectory for visibility windows at one station.
 
-    Samples are screened with the chosen criterion, then each window's
-    AOS/LOS are refined by bisection to one second on a linear-in-time
-    position interpolant.  Max elevation is measured on a one-second grid
-    inside the window; the direction label follows the sign of the latitude
-    rate at that moment.
+    All samples are screened with the chosen criterion in one array pass.
+    Positions between samples come from a cubic Hermite interpolant on the
+    sampled (r, v), which is accurate to O(step^4).  Each window's AOS/LOS
+    are refined by bisection to PASS_TOL_S; max elevation is found by
+    golden-section search, also to PASS_TOL_S, between the neighbours of
+    the screened sample with the highest elevation.  The direction label
+    follows the sign of the latitude change across that maximum.
 
     Args:
         traj: Propagated trajectory (step well below a pass length).
@@ -294,48 +356,42 @@ def find_passes(traj: Trajectory, station: GroundStation,
         fov_deg: Full cone angle for the "fov" criterion.
     """
     metric = _visibility_metric(station, criterion, fov_deg)
-    ecef = _eci_to_ecef_batch(traj.r, traj.jds)
-    values = np.array([metric(ecef[k]) for k in range(len(ecef))])
-    above = values >= 0.0
+    values, elevations = _screen(station, criterion, fov_deg,
+                                 _eci_to_ecef_batch(traj.r, traj.jds))
+    # window k..j-1 for each (k, j) pair of edges in the padded mask
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], values >= 0.0,
+                                                   [False]))))
+    ts = traj.t.tolist()
+    n = len(ts)
+
+    def visible(t):
+        return metric(_interp_ecef(traj, t))
+
+    def elevation(t):
+        return elevation_azimuth(station, _interp_ecef(traj, t))[0]
 
     windows = []
-    n = len(above)
-    k = 0
-    while k < n:
-        if not above[k]:
-            k += 1
-            continue
-        j = k
-        while j + 1 < n and above[j + 1]:
-            j += 1
-        t_aos = (float(traj.t[k]) if k == 0 else
-                 _bisect_crossing(metric, traj, float(traj.t[k - 1]),
-                                  float(traj.t[k])))
-        t_los = (float(traj.t[j]) if j == n - 1 else
-                 _bisect_crossing(metric, traj, float(traj.t[j]),
-                                  float(traj.t[j + 1])))
-        windows.append(_finish_window(traj, station, t_aos, t_los))
-        k = j + 1
+    for k, j in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+        t_aos = ts[0] if k == 0 else _bisect_crossing(visible, ts[k - 1],
+                                                      ts[k])
+        t_los = ts[-1] if j == n else _bisect_crossing(visible, ts[j - 1],
+                                                       ts[j])
+        m = k + int(np.argmax(elevations[k:j]))
+        best_t, best_el = _golden_max(elevation,
+                                      max(ts[max(m - 1, 0)], t_aos),
+                                      min(ts[min(m + 1, n - 1)], t_los))
+        lat_before = ecef_to_geo(
+            _interp_ecef(traj, max(best_t - 1.0, t_aos))).lat
+        lat_after = ecef_to_geo(
+            _interp_ecef(traj, min(best_t + 1.0, t_los))).lat
+        windows.append(PassWindow(
+            aos=traj.epoch0.plus_seconds(t_aos),
+            los=traj.epoch0.plus_seconds(t_los),
+            duration=t_los - t_aos,
+            max_elevation=best_el,
+            direction="ascending" if lat_after > lat_before
+            else "descending"))
     return windows
-
-
-def _finish_window(traj, station, t_aos, t_los):
-    best_el, best_t = -90.0, t_aos
-    t = t_aos
-    while t <= t_los:
-        el, _ = elevation_azimuth(station, _interp_ecef(traj, t))
-        if el > best_el:
-            best_el, best_t = el, t
-        t += 1.0
-    lat_before = ecef_to_geo(_interp_ecef(traj, max(best_t - 1.0, t_aos))).lat
-    lat_after = ecef_to_geo(_interp_ecef(traj, min(best_t + 1.0, t_los))).lat
-    direction = "ascending" if lat_after > lat_before else "descending"
-    return PassWindow(
-        aos=traj.epoch0.plus_seconds(t_aos),
-        los=traj.epoch0.plus_seconds(t_los),
-        duration=t_los - t_aos,
-        max_elevation=best_el,
-        direction=direction)
 
 
 def revisit_report(passes) -> RevisitSummary:

@@ -224,7 +224,8 @@ def predict(model: PositionModel, features) -> np.ndarray:
     """Predict targets for one feature row or a matrix of rows.
 
     Raises:
-        DomainError: If the feature arity does not match the model.
+        DomainError: If the feature arity does not match the model or a
+            feature is not finite.
     """
     feats = np.asarray(features, dtype=float)
     single = feats.ndim == 1
@@ -234,6 +235,8 @@ def predict(model: PositionModel, features) -> np.ndarray:
         raise DomainError(
             f"feature shape {np.asarray(features).shape} does not match "
             f"{len(model.feature_names)} model features")
+    if not np.isfinite(feats).all():
+        raise DomainError("features must be finite")
     xn = apply_normalization(feats, model.stats)
     out = np.column_stack([xn @ m.weights + m.bias for m in model.models])
     return out[0] if single else out
@@ -306,35 +309,51 @@ def load_model(path: str) -> PositionModel:
             key, value = line.split("=", 1)
             pairs[key.strip()] = value.strip()
 
+    def text(key):
+        try:
+            return pairs[key]
+        except KeyError:
+            raise FormatError(f"missing model key {key!r}", path=path) from None
+
+    def numbers(key, count):
+        fields = text(key).split(",")
+        try:
+            vals = np.array([float(v) for v in fields])
+        except ValueError as exc:
+            raise FormatError(f"bad model value for {key}: {exc}",
+                              path=path) from None
+        if not np.isfinite(vals).all():
+            raise FormatError(f"{key} has a non-finite value", path=path)
+        if len(vals) != count:
+            raise FormatError(f"{key} has {len(vals)} values, expected "
+                              f"{count}", path=path)
+        return vals
+
+    if text("format") != MODEL_FORMAT:
+        raise FormatError(f"unsupported model format {pairs['format']!r}",
+                          path=path)
+    feature_names = tuple(text("feature_names").split(","))
+    target_names = tuple(text("target_names").split(","))
+    n_feat = len(feature_names)
+    stats = FeatureStats(mean=numbers("feature_mean", n_feat),
+                         std=numbers("feature_std", n_feat))
+    if not (stats.std > 0.0).all():
+        raise FormatError("feature_std must be positive", path=path)
+    models = tuple(
+        RegressionModel(weights=numbers(f"weights.{name}", n_feat),
+                        bias=float(numbers(f"bias.{name}", 1)[0]),
+                        loss_history=np.empty(0))
+        for name in target_names)
+    epochs = text("epochs")
     try:
-        if pairs["format"] != MODEL_FORMAT:
-            raise FormatError(
-                f"unsupported model format {pairs['format']!r}", path=path)
-        feature_names = tuple(pairs["feature_names"].split(","))
-        target_names = tuple(pairs["target_names"].split(","))
-        stats = FeatureStats(
-            mean=np.array([float(v) for v in pairs["feature_mean"].split(",")]),
-            std=np.array([float(v) for v in pairs["feature_std"].split(",")]))
-        models = []
-        for name in target_names:
-            weights = np.array(
-                [float(v) for v in pairs[f"weights.{name}"].split(",")])
-            if weights.shape != (len(feature_names),):
-                raise FormatError(
-                    f"weights.{name} arity {weights.shape[0]} does not match "
-                    f"{len(feature_names)} features", path=path)
-            models.append(RegressionModel(
-                weights=weights, bias=float(pairs[f"bias.{name}"]),
-                loss_history=np.empty(0)))
-        return PositionModel(
-            models=tuple(models), stats=stats, feature_names=feature_names,
-            target_names=target_names, lr=float(pairs["lr"]),
-            epochs=int(pairs["epochs"]))
-    except KeyError as exc:
-        raise FormatError(f"missing model key {exc.args[0]!r}",
-                          path=path) from None
+        epochs = int(epochs)
     except ValueError as exc:
-        raise FormatError(f"bad model value: {exc}", path=path) from None
+        raise FormatError(f"bad model value for epochs: {exc}",
+                          path=path) from None
+    return PositionModel(
+        models=models, stats=stats, feature_names=feature_names,
+        target_names=target_names, lr=float(numbers("lr", 1)[0]),
+        epochs=epochs)
 
 
 # --- dataset CSV interchange ---

@@ -150,6 +150,24 @@ def test_srp_year_from_file(elements_csv, tmp_path):
     assert len(lines) == 1 + 2
 
 
+@pytest.mark.parametrize("row", [
+    "nan, A.D. 2022-Dec-01 00:00:00.0000, 5.9e7, 1.2e8, 5.2e7,",
+    "2459915.5, A.D. 2022-Dec-02 00:00:00.0000, inf, 1.2e8, 5.2e7,",
+    "2000000.5, A.D. 0763-Sep-18 00:00:00.0000, 5.9e7, 1.2e8, 5.2e7,",
+])
+def test_srp_year_bad_sun_row_is_data_error(elements_csv, tmp_path, capsys,
+                                            row):
+    lines = HORIZONS_SNIPPET.splitlines()
+    lines.insert(2, row)
+    table = tmp_path / "sun.txt"
+    table.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "run")
+    assert run_cli("srp", "year", "--elements", elements_csv,
+                   "--ephem", str(table), "--out", out) == 2
+    assert f"{table}:3:" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "srp_year.csv"))
+
+
 def test_srp_year_geometric_with_eclipses(elements_csv, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run_cli("srp", "year", "--elements", elements_csv,
@@ -218,6 +236,23 @@ def test_ml_train_and_predict(elements_csv, tmp_path, capsys):
     assert set(predicted) == {"x_km", "y_km", "z_km"}
     # near-affine data: the fit interpolates its own training rows closely
     assert predicted["z_km"] == pytest.approx(ds.targets[0][2], rel=1e-6)
+
+
+@pytest.mark.parametrize("features, std", [("nan,2,3", "1.0,1.0,1.0"),
+                                           ("1,inf,3", "1.0,1.0,1.0"),
+                                           ("1,2,3", "0.0,1.0,1.0")])
+def test_ml_predict_bad_values_are_data_errors(tmp_path, capsys, features,
+                                               std):
+    model = tmp_path / "model.txt"
+    model.write_text(
+        "format=leosrp-regression-v1\nfeature_names=a,b,c\n"
+        "target_names=x_km\nlr=0.01\nepochs=10\nfeature_mean=0.0,0.0,0.0\n"
+        f"feature_std={std}\nweights.x_km=1.0,1.0,1.0\nbias.x_km=0.0\n")
+    assert run_cli("ml", "predict", "--model", str(model),
+                   "--features", features) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leosrp: error:" in captured.err
 
 
 def test_pipeline_artifacts(elements_csv, tmp_path):

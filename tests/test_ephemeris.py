@@ -62,8 +62,45 @@ def test_parse_reports_line_numbers(tmp_path):
     assert "vec.txt:" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("2459906.500000000", "nan", 6),
+    ("5.8e7", "inf", 6),
+    ("1.3e8", "-inf", 6),
+    ("5.3e7", "nan", 6),
+    ("2459905.500000000", "2000000.5", 5),
+    ("2459907.500000000", "2600000.5", 7),
+])
+def test_parse_horizons_rejects_bad_values(old, new, line):
+    bad = HORIZONS_TEXT.replace(old, new, 1)
+    with pytest.raises(FormatError) as err:
+        parse_horizons_vectors(bad, body="sun", path="vec.txt")
+    assert f"vec.txt:{line}:" in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("2459906.5", "nan", 3),
+    ("2459906.5", "inf", 3),
+    ("6.0e7", "inf", 2),
+    ("1.3e8", "nan", 3),
+    ("2459905.5", "2000000.5", 2),
+])
+def test_parse_simple_csv_rejects_bad_values(old, new, line):
+    bad = SIMPLE_TEXT.replace(old, new, 1)
+    with pytest.raises(FormatError) as err:
+        parse_horizons_vectors(bad, body="sun", path="sun.csv")
+    assert f"sun.csv:{line}:" in str(err.value)
+
+
 def test_table_requires_increasing_jds():
     rows = [(Epoch(2459905.5), np.ones(3)), (Epoch(2459905.5), np.ones(3))]
+    with pytest.raises(FormatError):
+        EphemerisTable.from_components(rows)
+
+
+@pytest.mark.parametrize("jds", [(2459905.5, math.nan),
+                                 (math.nan, 2459905.5)])
+def test_table_rejects_nan_jds(jds):
+    rows = [(Epoch(jd), np.ones(3)) for jd in jds]
     with pytest.raises(FormatError):
         EphemerisTable.from_components(rows)
 

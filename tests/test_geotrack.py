@@ -11,6 +11,7 @@ from leosrp.geotrack import (GeoPoint, GroundStation, cap_angle, ecef_to_geo,
 from leosrp.kepler import elements_to_state, orbital_period
 from leosrp.propagator import propagate
 from leosrp.timeframe import CONSTANTS, Epoch, gmst
+from tests.conftest import STATIONS
 
 EPOCH = Epoch(2459905.5)
 RE = CONSTANTS.r_earth
@@ -143,8 +144,73 @@ def test_pass_edges_sit_on_the_mask(el0):
     p = find_passes(traj, station)[0]
     t_aos = p.aos.seconds_since(traj.epoch0)
     el_aos, _ = elevation_azimuth(station, _interp_ecef(traj, t_aos))
-    # bisection refines to one second, so the edge elevation is near the mask
+    # edges are refined to a millisecond, so the edge elevation is on the mask
     assert abs(el_aos - 5.0) < 0.1
+
+
+def test_coarse_passes_match_a_one_second_reference(el0):
+    # the dt = 1 s trajectory is the reference; a cubic Hermite between
+    # dt = 60 s samples must land within a fraction of a second of it
+    state = elements_to_state(el0)
+    coarse = propagate(state, 86400.0, dt=60.0)
+    fine = propagate(state, 86400.0, dt=1.0)
+    found = 0
+    for criterion in ("elevation", "fov"):
+        for name, (lat, lon) in STATIONS.items():
+            station = GroundStation(GeoPoint(lat, lon), 5.0, name)
+            got = find_passes(coarse, station, criterion, fov_deg=60.0)
+            ref = find_passes(fine, station, criterion, fov_deg=60.0)
+            assert len(got) == len(ref), (criterion, name)
+            for p, q in zip(got, ref):
+                assert abs(p.aos.seconds_since(q.aos)) < 0.5
+                assert abs(p.los.seconds_since(q.los)) < 0.5
+                assert abs(p.max_elevation - q.max_elevation) < 0.02
+                assert p.direction == q.direction
+            found += len(got)
+    assert found >= 10
+
+
+@pytest.mark.parametrize("criterion", ["elevation", "fov"])
+def test_screen_matches_the_scalar_metric(criterion):
+    from leosrp.geotrack import _screen, _visibility_metric
+
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        station = GroundStation(GeoPoint(float(rng.uniform(-89.0, 89.0)),
+                                         float(rng.uniform(-180.0, 180.0))),
+                                float(rng.uniform(0.0, 30.0)))
+        points = np.array([geo_to_ecef(GeoPoint(
+            float(rng.uniform(-90.0, 90.0)), float(rng.uniform(-180.0, 180.0)),
+            float(rng.uniform(100.0, 2000.0)))) for _ in range(50)])
+        values, elevations = _screen(station, criterion, 27.3, points)
+        metric = _visibility_metric(station, criterion, 27.3)
+        for r, value, el in zip(points, values, elevations):
+            assert el == pytest.approx(elevation_azimuth(station, r)[0],
+                                       abs=1e-9)
+            assert value == pytest.approx(metric(r), abs=1e-9)
+
+
+def test_screen_rejects_a_target_at_the_station():
+    from leosrp.geotrack import _screen
+
+    station = GroundStation(GeoPoint(10.0, 20.0), 5.0)
+    points = np.array([geo_to_ecef(GeoPoint(10.0, 20.0, 500.0)),
+                       geo_to_ecef(station.location)])
+    with pytest.raises(DomainError):
+        _screen(station, "elevation", 27.3, points)
+
+
+def test_elevation_is_clamped_at_the_zenith():
+    # |rho . up| / |rho| can round past 1 straight overhead
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        pt = GeoPoint(float(rng.uniform(-89.0, 89.0)),
+                      float(rng.uniform(-180.0, 180.0)))
+        station = GroundStation(pt, 5.0)
+        zenith = geo_to_ecef(GeoPoint(pt.lat, pt.lon,
+                                      float(rng.uniform(1.0, 2000.0))))
+        assert elevation_azimuth(station, zenith)[0] == pytest.approx(
+            90.0, abs=1e-5)
 
 
 def test_fov_criterion_is_narrower(el0):

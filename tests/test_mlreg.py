@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,51 @@ def test_load_model_rejects_junk(tmp_path):
     path.write_text("not a model\n")
     with pytest.raises(FormatError):
         load_model(str(path))
+
+
+MODEL_LINES = {"format": "leosrp-regression-v1", "feature_names": "f1,f2",
+               "target_names": "t1", "lr": "0.01", "epochs": "10",
+               "feature_mean": "0.0,0.0", "feature_std": "1.0,2.0",
+               "weights.t1": "1.0,2.0", "bias.t1": "0.5"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("feature_std", "0.0,1.0"), ("feature_std", "-1.0,1.0"),
+    ("feature_std", "nan,1.0"), ("feature_std", "inf,1.0"),
+    ("feature_std", "1.0"), ("feature_mean", "0.0,0.0,0.0"),
+    ("feature_mean", "nan,0.0"), ("weights.t1", "inf,1.0"),
+    ("weights.t1", "1.0"), ("bias.t1", "nan"), ("bias.t1", "1.0,2.0"),
+    ("lr", "inf"), ("lr", "nan"), ("epochs", "x"), ("format", "v0"),
+    ("bias.t1", None), ("epochs", None),
+])
+def test_load_model_rejects_bad_values(tmp_path, key, value):
+    lines = dict(MODEL_LINES)
+    if value is None:
+        del lines[key]
+    else:
+        lines[key] = value
+    path = tmp_path / "model.txt"
+    path.write_text("".join(f"{k}={v}\n" for k, v in lines.items()))
+    with pytest.raises(FormatError) as err:
+        load_model(str(path))
+    # the location prefix appears once
+    assert str(err.value).count(str(path)) == 1
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_load_model_reads_the_lines(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("".join(f"{k}={v}\n" for k, v in MODEL_LINES.items()))
+    model = load_model(str(path))
+    assert predict(model, [2.0, 4.0]) == pytest.approx([2.0 + 4.0 + 0.5])
+    assert model.lr == 0.01 and model.epochs == 10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_predict_rejects_non_finite_features(bad):
+    model = train(toy_dataset(), lr=0.05, epochs=10)
+    with pytest.raises(DomainError):
+        predict(model, [bad, 1.0, 1.0])
 
 
 # --- dataset generation from a sweep ---
