@@ -22,12 +22,17 @@ STATIONS = {
 }
 
 
-@pytest.fixture
-def el0():
+def reference_elements() -> KeplerianElements:
+    """The reference scenario's element set (the ``el0`` fixture)."""
     return KeplerianElements(
         a=6928.18, e=0.0, i=math.radians(98.6), raan=math.radians(7.0),
         argp=math.radians(180.0), true_anomaly=0.0,
         epoch=parse_epoch(EPOCH0))
+
+
+@pytest.fixture
+def el0():
+    return reference_elements()
 
 
 @pytest.fixture

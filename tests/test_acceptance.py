@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 import pytest
 
-from leosrp import cli
 from leosrp.ephemeris import analytic_sun_table
 from leosrp.geotrack import (GeoPoint, GroundStation, cap_angle, find_passes,
                              ground_track, slant_range)
@@ -28,6 +27,7 @@ from leosrp.srp import (SrpConfig, inclination_delta, km_day2_to_km_s2,
                         two_body_position)
 from leosrp.timeframe import CONSTANTS, Epoch
 from leosrp.tle import parse_tle, tle_to_elements
+from tests import golden
 from tests.conftest import STATIONS, TLE_TOKENS_1, TLE_TOKENS_2
 
 TWO_PI = 2.0 * math.pi
@@ -295,35 +295,12 @@ def test_10_regression_pipeline(report, el0):
         assert score < 0.1
 
 
-def test_11_cli_determinism(report, elements_csv, tle_file, tmp_path):
+def test_11_cli_determinism(report, tmp_path):
     with report(11, "identical CLI flags reproduce byte-identical artifacts"):
-        def run_all(out):
-            os.makedirs(out, exist_ok=True)
-            cmds = [
-                ("propagate", "--elements", elements_csv, "--hours", "0.2"),
-                ("groundtrack", "--elements", elements_csv, "--hours", "0.2"),
-                ("passes", "--elements", elements_csv,
-                 "--station", "30.3398,76.3869,5", "--hours", "6"),
-                ("tle", "parse", tle_file),
-                ("srp", "year", "--elements", elements_csv),
-                ("srp", "sweep", "--elements", elements_csv,
-                 "--count", "12", "--compare", "--hours", "0.2"),
-                ("pipeline", "--elements", elements_csv,
-                 "--hours", "0.1", "--sweep-count", "12"),
-            ]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for cmd in cmds:
-                    assert cli.run([*cmd, "--out", out]) == 0
-                assert cli.run(["ml", "train", "--data",
-                                os.path.join(out, "dataset.csv"),
-                                "--out", out]) == 0
-
+        # the flag set is the golden one (tests/golden.py), run twice here
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        run_all(out_a)
-        run_all(out_b)
-        names = sorted(os.listdir(out_a))
-        assert names == sorted(os.listdir(out_b))
+        names = golden.run_all(out_a)
+        assert names == golden.run_all(out_b)
         assert len(names) >= 12
         for name in names:
             with open(os.path.join(out_a, name), "rb") as fh:
