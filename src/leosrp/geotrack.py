@@ -34,7 +34,7 @@ class GeoPoint:
     alt: float = 0.0
 
     def __post_init__(self):
-        if self.lat < -90.0 - 1e-9 or self.lat > 90.0 + 1e-9:
+        if not -90.0 - 1e-9 <= self.lat <= 90.0 + 1e-9:  # NaN fails too
             raise DomainError(f"latitude {self.lat} outside [-90, 90]")
         object.__setattr__(self, "lat", min(max(self.lat, -90.0), 90.0))
         lon = ((self.lon + 180.0) % 360.0) - 180.0
@@ -52,6 +52,10 @@ class GroundStation:
     name: str = ""
 
     def __post_init__(self):
+        loc = self.location
+        if not (math.isfinite(loc.lat) and math.isfinite(loc.lon)
+                and math.isfinite(loc.alt)):
+            raise DomainError(f"station location {loc} is not finite")
         if not 0.0 <= self.mask_deg < 90.0:
             raise DomainError(f"mask {self.mask_deg} outside [0, 90)")
 
@@ -354,7 +358,13 @@ def find_passes(traj: Trajectory, station: GroundStation,
         station: Station with mask angle.
         criterion: "elevation" (above mask) or "fov" (inside the nadir cone).
         fov_deg: Full cone angle for the "fov" criterion.
+
+    Raises:
+        DomainError: If fov_deg is outside (0, 180) or the criterion is
+            unknown.
     """
+    if not 0.0 < fov_deg < 180.0:
+        raise DomainError(f"field of view {fov_deg} deg outside (0, 180)")
     metric = _visibility_metric(station, criterion, fov_deg)
     values, elevations = _screen(station, criterion, fov_deg,
                                  _eci_to_ecef_batch(traj.r, traj.jds))

@@ -8,7 +8,7 @@ carried epoch.  Only elliptic orbits (0 <= e < 1) are supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,8 +294,8 @@ def elements_at(el: KeplerianElements, epoch: Epoch,
     n = math.sqrt(mu / el.a ** 3)
     m0 = true_to_mean(el.true_anomaly, el.e)
     m1 = m0 + n * epoch.seconds_since(el.epoch)
-    return replace(el, true_anomaly=mean_to_true(m1, el.e) % TWO_PI,
-                   epoch=epoch)
+    return KeplerianElements(el.a, el.e, el.i, el.raan, el.argp,
+                             mean_to_true(m1, el.e) % TWO_PI, epoch)
 
 
 # --- element CSV rows (degrees on disk, radians in memory) ---

@@ -12,6 +12,10 @@ component sharing the feature pipeline.  No external learning library is
 involved; the update rule is exactly
 
     w <- w - (lr / m) * sum (pred - y) x      b <- b - (lr / m) * sum (pred - y)
+
+train evaluates the iterates of this rule in closed form, from the
+eigendecomposition of the Gram matrix of the normalized design (the
+quadratic-model analysis in Goh, "Why Momentum Really Works", Distill 2017).
 """
 
 from __future__ import annotations
@@ -176,18 +180,30 @@ def gradient(features_norm: np.ndarray, y: np.ndarray, w: np.ndarray,
 
 def train(train_ds: Dataset, lr: float = 0.01,
           epochs: int = 10000) -> PositionModel:
-    """Batch gradient descent from zero initialization.
+    """Batch gradient descent from zero initialization, in closed form.
 
     Each target column gets its own weight vector and bias; the feature
     normalization is fit on this split and carried in the model.  The loss
     history (J before each update) is recorded per target.
 
+    The iterates are those of the update rule in the module docstring,
+    computed without iterating.  With theta = (w, b), X = [xn, 1] and the
+    eigendecomposition X'X = V diag(lam) V', every eigen-component of
+    theta - theta* shrinks by rho_j = 1 - lr * lam_j / m per epoch, where
+    theta* is the minimum-norm least-squares solution.  From theta_0 = 0:
+
+        theta_k = V diag(1 - rho^k) z*         (z* = V' theta*)
+        J_k = J* + (1 / 2m) sum_j lam_j z*_j^2 rho_j^(2k)
+
+    with J* the residual of theta*, computed directly.  Directions with
+    lam_j = 0 (to rounding; constant feature columns) do not move.
+
     Raises:
         DomainError: If lr is negative or epochs < 1.
         DivergenceError: If the loss becomes non-finite (lr too high).
     """
-    if lr < 0.0:
-        raise DomainError(f"learning rate must be >= 0, got {lr}")
+    if not 0.0 <= lr < math.inf:
+        raise DomainError(f"learning rate must be finite and >= 0, got {lr}")
     if int(epochs) != epochs or epochs < 1:
         raise DomainError(f"epochs must be a positive integer, got {epochs}")
     epochs = int(epochs)
@@ -195,25 +211,41 @@ def train(train_ds: Dataset, lr: float = 0.01,
     xn, stats = normalize_features(train_ds.features)
     y = train_ds.targets
     m, n_feat = xn.shape
-    n_targ = y.shape[1]
-    w = np.zeros((n_feat, n_targ))
-    b = np.zeros(n_targ)
-    history = np.empty((epochs, n_targ))
-    for k in range(epochs):
-        err = xn @ w + b - y
-        j = (err * err).sum(axis=0) / (2.0 * m)
-        if not np.all(np.isfinite(j)):
-            raise DivergenceError(
-                f"loss became non-finite at epoch {k} with lr = {lr}; "
-                "lower the learning rate")
-        history[k] = j
-        w -= (lr / m) * (xn.T @ err)
-        b -= (lr / m) * err.sum(axis=0)
+    x = np.column_stack((xn, np.ones(m)))
+    lam, vecs = np.linalg.eigh(x.T @ x)
+    live = lam > lam[-1] * x.shape[1] * np.finfo(float).eps
+    lam, vecs = lam[live], vecs[:, live]
+    zstar = (vecs.T @ (x.T @ y)) / lam[:, None]
+    resid = x @ (vecs @ zstar) - y
+    two_m = 2.0 * m
+    j_star = (resid * resid).sum(axis=0) / two_m
+    rho = 1.0 - lr * lam / m
+    # sum of squared errors at epoch k: 2m J* + sum_j excess_j rho_j^(2k)
+    excess = lam[:, None] * zstar * zstar
+
+    k = np.arange(epochs)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if np.any(np.abs(rho) > 1.0):
+            # the loop stops at the first epoch whose sum overflows; find it
+            # from the logarithm of each term
+            log_terms = (np.log(excess)[None]
+                         + (k[:, None] * np.log(rho * rho))[:, :, None])
+            log_sse = np.logaddexp(np.logaddexp.reduce(log_terms, axis=1),
+                                   np.log(two_m * j_star))
+            over = np.flatnonzero(
+                (log_sse > np.log(np.finfo(float).max)).any(axis=1))
+            if over.size:
+                raise DivergenceError(
+                    f"loss became non-finite at epoch {over[0]} with "
+                    f"lr = {lr}; lower the learning rate")
+        history = j_star + np.power(rho * rho, k[:, None]) @ (excess / two_m)
+        theta = vecs @ ((1.0 - rho ** epochs)[:, None] * zstar)
 
     models = tuple(
-        RegressionModel(weights=w[:, t].copy(), bias=float(b[t]),
+        RegressionModel(weights=theta[:n_feat, t].copy(),
+                        bias=float(theta[n_feat, t]),
                         loss_history=history[:, t].copy())
-        for t in range(n_targ))
+        for t in range(y.shape[1]))
     return PositionModel(models=models, stats=stats,
                          feature_names=train_ds.feature_names,
                          target_names=train_ds.target_names,

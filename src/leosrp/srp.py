@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ephemeris import (EphemerisTable, _as_vec3, bracket, lerp,
-                        shadow_factor, shadow_nu)
+from .ephemeris import EphemerisTable, _as_vec3, bracket, lerp, shadow_nu
 from .errors import DomainError, EphemerisRangeError
-from .kepler import KeplerianElements, elements_at, elements_to_state
+from .kepler import (TWO_PI, KeplerianElements, _rotation_terms,
+                     mean_to_true, true_to_mean)
 from .propagator import _xyz
 from .timeframe import CONSTANTS, Epoch
 
@@ -163,9 +163,30 @@ def srp_force(accel_km_s2, mass: float) -> np.ndarray:
 
 
 def two_body_position(el0: KeplerianElements):
-    """Provider closure: epoch -> satellite position on a two-body orbit."""
+    """Provider closure: epoch -> satellite position on a two-body orbit.
+
+    The same value as elements_to_state(elements_at(el0, epoch)).r, with
+    the mean motion, the initial mean anomaly, the semi-latus rectum, the
+    rotation terms and the epoch computed once per orbit.
+    """
+    e, jd0 = el0.e, el0.epoch.jd
+    n = math.sqrt(CONSTANTS.mu_earth / el0.a ** 3)
+    m0 = true_to_mean(el0.true_anomaly, e)
+    p = el0.a * (1.0 - e * e)
+    # KeplerianElements normalizes each angle again when elements_at builds
+    # the advanced set; the repeated % keeps that rounding (x % 2pi can
+    # round up to exactly 2pi, which the second % maps to 0).
+    (r11, r12), (r21, r22), (r31, r32) = _rotation_terms(
+        el0.raan % TWO_PI, el0.argp % TWO_PI, el0.i)
+
     def position(epoch: Epoch) -> np.ndarray:
-        return elements_to_state(elements_at(el0, epoch)).r
+        f = mean_to_true(m0 + n * ((epoch.jd - jd0) * 86400.0), e)
+        f = f % TWO_PI % TWO_PI
+        cf, sf = math.cos(f), math.sin(f)
+        rmag = p / (1.0 + e * cf)
+        xp, yp = rmag * cf, rmag * sf
+        return np.array([r11 * xp + r12 * yp, r21 * xp + r22 * yp,
+                         r31 * xp + r32 * yp])
     return position
 
 
@@ -186,6 +207,9 @@ def srp_year_series(table: EphemerisTable, sat_position, cfg: SrpConfig,
 
     Raises:
         EphemerisRangeError: If a requested span is not covered by the table.
+        DomainError: If a position is not a 3-vector, the satellite
+            coincides with the Sun position, or (geometric shadow) it is
+            not above the Earth surface.
     """
     lo, hi = table.span
     if jd_start is not None and jd_start < lo - 1e-9:
@@ -195,6 +219,8 @@ def srp_year_series(table: EphemerisTable, sat_position, cfg: SrpConfig,
         raise EphemerisRangeError(
             f"table ends at jd {hi}, requested {jd_stop}")
 
+    lit = _coefficient(cfg)
+    forced = cfg.nu_override
     samples = []
     for rec in table.records:
         jd = rec.epoch.jd
@@ -202,16 +228,16 @@ def srp_year_series(table: EphemerisTable, sat_position, cfg: SrpConfig,
             continue
         if jd_stop is not None and jd > jd_stop + 1e-9:
             continue
-        r_sat = sat_position(rec.epoch)
-        if cfg.nu_override is not None:
-            nu = cfg.nu_override
-        else:
-            nu = shadow_factor(r_sat, rec.sun_geocentric)
-        acc = srp_acceleration(r_sat, rec.sun_geocentric, cfg, nu=nu)
+        r_sat = _as_vec3(sat_position(rec.epoch), "r_sat")
+        x, y, z = r_sat.tolist()
+        sx, sy, sz = rec.sun_geocentric.tolist()
+        nu = forced if forced is not None else shadow_nu(x, y, z, sx, sy, sz)
+        acc = np.array(cannonball(x, y, z, sx, sy, sz, nu * lit))
+        # numpy's dot rounds as np.linalg.norm does (unlike a Python sum)
+        off = r_sat - rec.sun_geocentric
         samples.append(SrpSample(
-            epoch=rec.epoch, accel=acc,
-            magnitude=float(np.linalg.norm(acc)), nu=nu,
-            sun_distance=float(np.linalg.norm(r_sat - rec.sun_geocentric))))
+            epoch=rec.epoch, accel=acc, magnitude=math.sqrt(acc.dot(acc)),
+            nu=nu, sun_distance=math.sqrt(off.dot(off))))
     return samples
 
 

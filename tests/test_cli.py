@@ -1,5 +1,7 @@
 import gc
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -78,6 +80,45 @@ def test_bad_station_string(elements_csv, tmp_path, capsys):
     code = run_cli("passes", "--elements", elements_csv,
                    "--station", "not-coords", "--out", str(tmp_path))
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ("--station", "nan,76"),
+    ("--station", "30.3,76.4", "--criterion", "fov", "--fov-deg", "nan"),
+    ("--station", "30.3,76.4", "--criterion", "fov", "--fov-deg", "-10")])
+def test_bad_station_values_are_data_errors(elements_csv, tmp_path, capsys,
+                                            flags):
+    out = str(tmp_path / "run")
+    assert run_cli("passes", "--elements", elements_csv, "--hours", "1",
+                   *flags, "--out", out) == 2
+    assert not os.path.exists(os.path.join(out, "passes.csv"))
+
+
+@pytest.mark.parametrize("command", [
+    ("propagate",), ("groundtrack",), ("passes", "--station", "30,76"),
+    ("srp", "sweep", "--compare"), ("pipeline",)])
+def test_step_above_period_bound_is_data_error(el0, elements_csv, tmp_path,
+                                               capsys, command):
+    limit = orbital_period(el0.a) / 50.0
+    argv = (*command, "--elements", elements_csv, "--hours", "1",
+            "--out", str(tmp_path))
+    assert run_cli(*argv, "--dt", repr(limit * 1.01)) == 2
+    err = capsys.readouterr().err
+    assert "--dt" in err and f"({orbital_period(el0.a):.1f} s)" in err
+    assert run_cli(*argv, "--dt", repr(limit * 0.99)) == 0
+
+
+@pytest.mark.parametrize("module", ["leosrp", "leosrp.cli"])
+def test_module_entry_points(module, tle_file, tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", module, "tle", "parse", tle_file,
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "1 records" in done.stdout
+    assert os.path.exists(tmp_path / "elements.csv")
 
 
 # --- artifacts ---

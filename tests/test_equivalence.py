@@ -2,8 +2,9 @@
 
 The propagation hot path runs on Python floats.  These tests hold it to the
 public vector functions (the SRP hook against srp_acceleration and
-shadow_factor, the table Sun provider against interpolate) and hold whole
-trajectories to a numpy RK4 written out here in the classical vector form.
+shadow_factor, the table Sun provider against interpolate, the year series
+against the element path) and hold whole trajectories to a numpy RK4
+written out here in the classical vector form.
 """
 
 import math
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 from leosrp.ephemeris import (analytic_sun_table, interpolate, shadow_factor,
                               sun_position_analytic)
 from leosrp.errors import DomainError, EphemerisRangeError
-from leosrp.kepler import KeplerianElements, elements_to_state
+from leosrp.kepler import KeplerianElements, elements_at, elements_to_state
 from leosrp.propagator import propagate
 from leosrp.srp import (SrpConfig, srp_acceleration, srp_perturbation,
-                        table_sun_position)
+                        srp_year_series, table_sun_position,
+                        two_body_position)
 from leosrp.timeframe import CONSTANTS, Epoch
 
 JD0 = 2459905.5
@@ -176,6 +178,52 @@ def _reference_rk4(r0, v0, duration, dt, extra=None, epoch0=None):
                 v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
         t += h
     return r, v
+
+
+def _orbit(perigee_alt, e, i, raan, argp, f, epoch):
+    a = (R_E + perigee_alt) / (1.0 - e)
+    return KeplerianElements(a, e, i, raan, argp, f, epoch)
+
+
+orbits = st.builds(
+    _orbit, perigee_alt=st.floats(200.0, 3000.0),
+    e=st.floats(0.0, 0.9, exclude_max=True), i=st.floats(0.0, math.pi),
+    raan=st.floats(-7.0, 7.0), argp=st.floats(-7.0, 7.0),
+    f=st.floats(-7.0, 7.0), epoch=epochs)
+
+
+@settings(max_examples=60, deadline=None)
+@example(orbit=_orbit(550.0, 0.0, 1.7, 0.1, math.pi, 0.0, Epoch(JD0)),
+         nu=None)
+@given(orbit=orbits, nu=st.sampled_from([None, 1]))
+def test_year_series_matches_the_element_path(orbit, nu):
+    cfg = SrpConfig(nu_override=nu)
+    position = two_body_position(orbit)
+    samples = srp_year_series(TABLE, position, cfg)
+    assert len(samples) == len(TABLE)
+    for s, rec in zip(samples, TABLE.records):
+        r = elements_to_state(elements_at(orbit, rec.epoch)).r
+        assert position(rec.epoch).tobytes() == r.tobytes()
+        sun = rec.sun_geocentric
+        nu_want = shadow_factor(r, sun) if nu is None else nu
+        acc = srp_acceleration(r, sun, cfg, nu=nu_want)
+        assert (s.epoch, s.nu) == (rec.epoch, nu_want)
+        assert s.accel.tobytes() == acc.tobytes()
+        assert repr(s.magnitude) == repr(float(np.linalg.norm(acc)))
+        assert repr(s.sun_distance) == repr(float(np.linalg.norm(r - sun)))
+
+
+def test_year_series_errors():
+    sun0 = TABLE.records[0].sun_geocentric
+    with pytest.raises(DomainError, match="surface"):
+        srp_year_series(TABLE, lambda epoch: np.array([R_E, 0.0, 0.0]),
+                        SrpConfig())
+    with pytest.raises(DomainError, match="coincides"):
+        srp_year_series(TABLE, lambda epoch: sun0,
+                        SrpConfig(nu_override=1))
+    with pytest.raises(DomainError, match="shape"):
+        srp_year_series(TABLE, lambda epoch: np.zeros(2),
+                        SrpConfig(nu_override=1))
 
 
 @pytest.fixture(scope="module")

@@ -42,11 +42,28 @@ def test_geo_ecef_round_trip():
 
 
 def test_geopoint_validation():
-    with pytest.raises(DomainError):
-        GeoPoint(lat=95.0, lon=0.0)
+    for lat in (95.0, math.nan):
+        with pytest.raises(DomainError):
+            GeoPoint(lat=lat, lon=0.0)
     # longitude normalizes into (-180, 180]
     assert GeoPoint(lat=0.0, lon=270.0).lon == -90.0
     assert GeoPoint(lat=0.0, lon=-180.0).lon == 180.0
+
+
+@pytest.mark.parametrize("location, mask", [
+    ((30.0, math.nan, 0.0), 5.0), ((30.0, math.inf, 0.0), 5.0),
+    ((30.0, 76.0, math.inf), 5.0), ((30.0, 76.0, 0.0), math.nan)])
+def test_station_rejects_non_finite_values(location, mask):
+    with pytest.raises(DomainError):
+        GroundStation(GeoPoint(*location), mask)
+
+
+@pytest.mark.parametrize("fov_deg", [math.nan, -10.0, 0.0, 180.0])
+def test_find_passes_rejects_bad_fov(el0, fov_deg):
+    traj = propagate(elements_to_state(el0), 600.0, dt=60.0)
+    station = GroundStation(GeoPoint(30.0, 76.0), 5.0)
+    with pytest.raises(DomainError, match="field of view"):
+        find_passes(traj, station, criterion="fov", fov_deg=fov_deg)
 
 
 def test_ground_track_basics(el0):

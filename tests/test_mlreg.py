@@ -91,10 +91,88 @@ def test_train_divergence_names_lr():
     assert "lr" in str(err.value) or "rate" in str(err.value)
 
 
+def _descend(ds, lr, epochs):
+    """The update rule of the mlreg docstring, one loop pass per epoch."""
+    xn, _ = normalize_features(ds.features)
+    y = ds.targets
+    m = len(y)
+    w = np.zeros((xn.shape[1], y.shape[1]))
+    b = np.zeros(y.shape[1])
+    history = np.empty((epochs, y.shape[1]))
+    for k in range(epochs):
+        err = xn @ w + b - y
+        j = (err * err).sum(axis=0) / (2.0 * m)
+        if not np.all(np.isfinite(j)):
+            raise DivergenceError(f"loss became non-finite at epoch {k}")
+        history[k] = j
+        w = w - (lr / m) * (xn.T @ err)
+        b = b - (lr / m) * err.sum(axis=0)
+    return w, b, history
+
+
+def _rhos(ds, lr):
+    xn, _ = normalize_features(ds.features)
+    design = np.column_stack([xn, np.ones(len(xn))])
+    return 1.0 - lr * np.linalg.eigvalsh(design.T @ design) / len(xn)
+
+
+def _pipeline_train_split(el0):
+    ds = generate_dataset(perturb_sweep(0.00994, 1e-4, 50, el0), SrpConfig())
+    return split_dataset(ds, ratio=0.8, seed=42)[0]
+
+
+@pytest.mark.parametrize("case, lr, epochs", [
+    ("pipeline", 0.01, 1500),  # constant columns: two lam = 0 directions
+    ("toy", 0.05, 1500),
+    ("toy", 1.5, 300),  # -1 < rho < 0 along the largest eigenvalue
+])
+def test_train_matches_the_loop(el0, case, lr, epochs):
+    ds = _pipeline_train_split(el0) if case == "pipeline" else toy_dataset()
+    rho = _rhos(ds, lr)
+    assert np.all(np.abs(rho) <= 1.0)
+    if lr > 1.0:
+        assert -1.0 < rho.min() < 0.0
+    w, b, history = _descend(ds, lr, epochs)
+    model = train(ds, lr=lr, epochs=epochs)
+    for t, reg in enumerate(model.models):
+        scale = max(np.abs(w[:, t]).max(), abs(b[t]))
+        assert np.all(np.abs(reg.weights - w[:, t]) <= 1e-9 * scale)
+        assert abs(reg.bias - b[t]) <= 1e-9 * scale
+        hist = history[:, t]
+        live = hist > 1e-9 * hist[0]
+        assert live.sum() > 10
+        assert np.all(np.abs(reg.loss_history[live] - hist[live])
+                      <= 1e-10 * hist[live])
+        assert len(reg.loss_history) == epochs
+        assert np.all(np.isfinite(reg.loss_history))
+    if case == "pipeline":
+        # the area-to-mass and mass columns are constant: two lam = 0
+        # directions, along which the weights stay at zero
+        assert np.sum(np.abs(rho - 1.0) < 1e-12) == 2
+        for reg in model.models:
+            assert np.all(np.abs(reg.weights[1:]) <= 1e-15 * abs(reg.bias))
+
+
+def test_train_diverges_at_the_loops_epoch():
+    ds = toy_dataset()
+    assert _rhos(ds, 3.0).min() < -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as loop:
+            _descend(ds, 3.0, 2000)
+    with pytest.raises(DivergenceError) as closed:
+        train(ds, lr=3.0, epochs=2000)
+    epoch = str(loop.value).split("epoch ")[1]
+    assert f"epoch {epoch} with lr = 3.0" in str(closed.value)
+    # an overflow beyond the last epoch is not an error, as in the loop
+    model = train(ds, lr=3.0, epochs=int(epoch))
+    assert np.all(np.isfinite(model.models[0].loss_history))
+
+
 def test_train_argument_checks():
     ds = toy_dataset()
-    with pytest.raises(DomainError):
-        train(ds, lr=-0.1)
+    for lr in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            train(ds, lr=lr)
     with pytest.raises(DomainError):
         train(ds, epochs=0)
 
