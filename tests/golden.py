@@ -1,4 +1,4 @@
-"""Golden CLI artifacts: acceptance 11's flag set, checked from commit to commit.
+"""Golden CLI artifacts: the acceptance-11 flag set, checked across commits.
 
 `run_all(out)` runs the acceptance-11 commands (plus one geometric-shadow
 year series) into `out`; `compare(out)` checks every file against the copy

@@ -1,4 +1,4 @@
-"""Golden artifacts: identical flags give the committed bytes (tests/golden/)."""
+"""Golden artifacts: identical flags give the bytes kept in tests/golden/."""
 
 from tests import golden
 
