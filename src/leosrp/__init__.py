@@ -54,7 +54,6 @@ from .propagator import (
     Trajectory,
     angular_momentum,
     propagate,
-    rk4_step,
     specific_energy,
     two_body_accel,
 )
@@ -97,12 +96,10 @@ from .srp import (
     SrpConfig,
     SrpSample,
     SweepEntry,
-    inclination_delta,
     km_day2_to_km_s2,
     km_s2_to_km_day2,
     perturb_sweep,
     srp_acceleration,
-    srp_force,
     srp_perturbation,
     srp_year_series,
     table_sun_position,

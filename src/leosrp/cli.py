@@ -69,6 +69,8 @@ def _parse_station(text: str, name: str = "") -> geotrack.GroundStation:
         mask = float(parts[2]) if len(parts) == 3 else 5.0
     except ValueError:
         raise _UsageError(f"--station has non-numeric fields: {text!r}")
+    if not all(map(math.isfinite, (lat, lon, mask))):
+        raise DomainError(f"--station values must be finite, got {text!r}")
     return geotrack.GroundStation(geotrack.GeoPoint(lat, lon), mask, name)
 
 

@@ -26,6 +26,9 @@ HORIZONS_URL = "https://ssd.jpl.nasa.gov/api/horizons.api"
 #: Horizons COMMAND codes for the supported bodies.
 BODY_COMMANDS = {"sun": "10"}
 
+#: Most records one analytic_sun_table call builds (a year at 6 min steps).
+MAX_TABLE_RECORDS = 100_000
+
 
 @dataclass(frozen=True)
 class EphemerisRecord:
@@ -280,11 +283,20 @@ def sun_position_analytic(epoch: Epoch) -> np.ndarray:
 
 def analytic_sun_table(jd_start: float, jd_stop: float,
                        step_days: float = 1.0) -> EphemerisTable:
-    """Build a Sun-only table by sampling the analytic model."""
+    """Build a Sun-only table by sampling the analytic model.
+
+    Raises:
+        DomainError: If the span is empty, the step is not positive, or the
+            table would hold more than MAX_TABLE_RECORDS records.
+    """
     if not jd_stop >= jd_start:
         raise DomainError(f"empty span: jd_stop {jd_stop} < jd_start {jd_start}")
     if not step_days > 0.0:
         raise DomainError(f"step must be positive, got {step_days}")
+    if (jd_stop - jd_start) / step_days >= MAX_TABLE_RECORDS:
+        raise DomainError(f"span of {jd_stop - jd_start} days at step "
+                          f"{step_days} days needs more than "
+                          f"{MAX_TABLE_RECORDS} records")
     records = []
     k = 0
     while True:

@@ -32,10 +32,6 @@ from .srp import SrpConfig, SweepEntry
 TARGET_NAMES = ("x_km", "y_km", "z_km")
 FEATURE_NAMES = ("a_srp_km_day2", "area_to_mass", "mass_kg")
 
-#: Feature columns whose sample standard deviation falls below this are
-#: treated as constant: they normalize to 0 and their std is recorded as 1.
-STD_FLOOR = 1e-15
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -148,34 +144,24 @@ def split_dataset(ds: Dataset, ratio: float = 0.8,
 
 
 def normalize_features(features: np.ndarray) -> tuple[np.ndarray, FeatureStats]:
-    """Z-score a feature matrix; constant columns map to 0 with std 1."""
+    """Z-score a feature matrix; constant columns get std 1.
+
+    A column is constant when all its values are equal; its computed std is
+    rounding noise (5e-15 for a column of 13.7), not a scale.  A spread
+    whose std underflows to 0 (subnormal values) also gets std 1.
+    """
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2:
         raise DomainError("feature matrix must be 2-D")
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
-    std = np.where(std < STD_FLOOR, 1.0, std)
+    std = np.where((np.ptp(feats, axis=0) == 0.0) | (std == 0.0), 1.0, std)
     return (feats - mean) / std, FeatureStats(mean=mean, std=std)
 
 
 def apply_normalization(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
     """Apply stored z-score parameters to new rows."""
     return (np.asarray(features, dtype=float) - stats.mean) / stats.std
-
-
-def loss(features_norm: np.ndarray, y: np.ndarray, w: np.ndarray,
-         b: float) -> float:
-    """Half-mean-squared error J = (1/2m) sum (w.x + b - y)^2."""
-    err = features_norm @ w + b - y
-    return float(err @ err) / (2.0 * len(y))
-
-
-def gradient(features_norm: np.ndarray, y: np.ndarray, w: np.ndarray,
-             b: float) -> tuple[np.ndarray, float]:
-    """Analytic gradient of the loss with respect to (w, b)."""
-    m = len(y)
-    err = features_norm @ w + b - y
-    return features_norm.T @ err / m, float(err.sum()) / m
 
 
 def train(train_ds: Dataset, lr: float = 0.01,
@@ -390,14 +376,10 @@ def load_model(path: str) -> PositionModel:
 
 # --- dataset CSV interchange ---
 
-def dataset_csv_header(ds: Dataset) -> str:
-    return ",".join(ds.feature_names + ds.target_names)
-
-
 def write_dataset_csv(ds: Dataset, path: str) -> None:
     """Write features and targets side by side with a named header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dataset_csv_header(ds) + "\n")
+        fh.write(",".join(ds.feature_names + ds.target_names) + "\n")
         for feat, targ in zip(ds.features, ds.targets):
             fh.write(_csv_floats(feat) + "," + _csv_floats(targ) + "\n")
 

@@ -89,27 +89,6 @@ def _rk4(state, steps, accel):
     return out
 
 
-def rk4_step(state: StateVector, dt: float, accel) -> StateVector:
-    """Advance one classical RK4 step.
-
-    Args:
-        state: State at the start of the step.
-        dt: Step size, seconds.
-        accel: Callable accel(r, v, t) -> km/s^2 length-3 sequence; r and
-            v are fresh (3,) arrays and t is seconds from the start of the
-            step.
-
-    Returns:
-        StateVector at state.epoch + dt.
-    """
-    def stage(x, y, z, vx, vy, vz, t):
-        return _xyz(accel(np.array((x, y, z)), np.array((vx, vy, vz)), t))
-
-    out = _rk4((*state.r.tolist(), *state.v.tolist()), (dt,), stage)
-    return StateVector(np.array(out[:3]), np.array(out[3:]),
-                       state.epoch.plus_seconds(dt))
-
-
 @dataclass
 class Trajectory:
     """Uniformly sampled propagation output.
@@ -119,7 +98,6 @@ class Trajectory:
         t: Sample offsets from epoch0, seconds, shape (N,).
         r: Positions, km, shape (N, 3).
         v: Velocities, km/s, shape (N, 3).
-        step: Nominal step, seconds (the final interval may be shorter).
         warnings: Notes attached during propagation (e.g. reentry).
     """
 
@@ -127,21 +105,10 @@ class Trajectory:
     t: np.ndarray
     r: np.ndarray
     v: np.ndarray
-    step: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def state_at(self, k: int) -> StateVector:
-        """StateVector for sample index k."""
-        return StateVector(self.r[k], self.v[k],
-                           self.epoch0.plus_seconds(float(self.t[k])))
-
-    @property
-    def samples(self) -> list[StateVector]:
-        """All samples as StateVectors (materialized on demand)."""
-        return [self.state_at(k) for k in range(len(self.t))]
 
     @property
     def jds(self) -> np.ndarray:
@@ -220,7 +187,7 @@ def propagate(state0: StateVector, duration: float, dt: float = 10.0,
     if below.size:
         reentry_at = t[below[0] + 1]
         notes = (f"reentry: |r| < r_earth from t = {reentry_at:.1f} s",)
-    return Trajectory(epoch0=epoch0, t=t, r=r, v=v, step=dt, warnings=notes)
+    return Trajectory(epoch0=epoch0, t=t, r=r, v=v, warnings=notes)
 
 
 def specific_energy(r, v, mu: float = CONSTANTS.mu_earth) -> float:

@@ -13,8 +13,8 @@ exposure window follows from the out-of-plane component W through
     delta_i = (1 / (n a)) * integral W(t) cos(u(t)) dt
 
 For the constant W of a sweep the integral is W (sin u1 - sin u0) / n in
-closed form; inclination_delta evaluates general W(t) profiles with
-composite trapezoid quadrature.
+closed form (perturb_sweep); an RK4 propagation of the same out-of-plane
+push agrees with it to 1e-7 relative or better for W of 1 to 100 km/day^2.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .propagator import _xyz
 from .timeframe import CONSTANTS, Epoch
 
 SECONDS_PER_DAY = 86400.0
+
+#: Most entries one perturb_sweep call builds.
+MAX_SWEEP_ENTRIES = 100_000
 
 
 def km_day2_to_km_s2(value: float) -> float:
@@ -153,13 +156,6 @@ def srp_acceleration(r_sat, r_sun_geo, cfg: SrpConfig, nu: int = 1) -> np.ndarra
     r_sat = _as_vec3(r_sat, "r_sat").tolist()
     r_sun = _as_vec3(r_sun_geo, "r_sun_geo").tolist()
     return np.array(cannonball(*r_sat, *r_sun, nu * _coefficient(cfg)))
-
-
-def srp_force(accel_km_s2, mass: float) -> np.ndarray:
-    """Force on the craft in newtons for an acceleration in km/s^2."""
-    if not mass > 0.0:
-        raise DomainError(f"mass must be positive, got {mass}")
-    return mass * 1000.0 * np.asarray(accel_km_s2, dtype=float)
 
 
 def two_body_position(el0: KeplerianElements):
@@ -292,37 +288,6 @@ def table_sun_position(table: EphemerisTable):
     return position
 
 
-def inclination_delta(w_fn, u_fn, n: float, a: float,
-                      t0: float, t1: float, dt: float) -> float:
-    """Inclination change from an out-of-plane acceleration profile, rad.
-
-    Composite-trapezoid evaluation of
-
-        delta_i = (1 / (n a)) * integral_{t0}^{t1} W(t) cos(u(t)) dt
-
-    with W in km/s^2 and u the argument of latitude in radians.  The grid
-    runs at step dt with a final partial interval so t1 is hit exactly.
-
-    Raises:
-        DomainError: If the window or step is empty/non-positive, or n or a
-            is not positive.
-    """
-    if not (n > 0.0 and a > 0.0):
-        raise DomainError(f"mean motion and radius must be positive "
-                          f"(n={n}, a={a})")
-    if not t1 > t0:
-        raise DomainError(f"empty window: t1 {t1} <= t0 {t0}")
-    if not dt > 0.0:
-        raise DomainError(f"step must be positive, got {dt}")
-    n_full = int((t1 - t0) / dt + 1e-9)
-    ts = t0 + dt * np.arange(n_full + 1)
-    if ts[-1] < t1 - 1e-9 * max(1.0, abs(t1)):
-        ts = np.append(ts, t1)
-    vals = np.array([w_fn(t) * math.cos(u_fn(t)) for t in ts])
-    integral = float(np.trapezoid(vals, ts))
-    return integral / (n * a)
-
-
 def perturb_sweep(a_start_km_day2: float, step_km_day2: float, count: int,
                   el0: KeplerianElements, per_orbit_exposure: float = 0.5,
                   mu: float = CONSTANTS.mu_earth) -> list[SweepEntry]:
@@ -339,7 +304,7 @@ def perturb_sweep(a_start_km_day2: float, step_km_day2: float, count: int,
     Args:
         a_start_km_day2: First magnitude, km/day^2.
         step_km_day2: Magnitude increment per entry.
-        count: Number of entries (>= 1).
+        count: Number of entries, 1 to MAX_SWEEP_ENTRIES.
         el0: Base orbit; must be circular (e < 1e-6).
         per_orbit_exposure: Window length as a fraction of the period,
             in (0, 1].
@@ -351,8 +316,9 @@ def perturb_sweep(a_start_km_day2: float, step_km_day2: float, count: int,
     if el0.e >= 1e-6:
         raise DomainError(
             f"sweep requires a circular base orbit, got e = {el0.e}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_SWEEP_ENTRIES:
+        raise DomainError(
+            f"count must be in [1, {MAX_SWEEP_ENTRIES}], got {count}")
     if not 0.0 < per_orbit_exposure <= 1.0:
         raise DomainError(
             f"per_orbit_exposure {per_orbit_exposure} outside (0, 1]")

@@ -1,8 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
-from leosrp.kepler import ELEMENTS_CSV_HEADER, KeplerianElements, elements_to_row
+from leosrp.kepler import (ELEMENTS_CSV_HEADER, KeplerianElements, StateVector,
+                           elements_to_row, elements_to_state,
+                           orbital_period, state_to_elements)
+from leosrp.propagator import propagate
+from leosrp.srp import km_day2_to_km_s2
 from leosrp.timeframe import parse_epoch
 
 # Reference scenario: 550 km circular sun-synchronous orbit, epoch chosen so
@@ -28,6 +33,29 @@ def reference_elements() -> KeplerianElements:
         a=6928.18, e=0.0, i=math.radians(98.6), raan=math.radians(7.0),
         argp=math.radians(180.0), true_anomaly=0.0,
         epoch=parse_epoch(EPOCH0))
+
+
+def propagated_delta_i(el: KeplerianElements, w_km_day2: float,
+                       exposure: float) -> float:
+    """Inclination change of an RK4 propagation under a constant push.
+
+    The push has magnitude W along the orbit normal r x v / |r x v| and
+    lasts the given fraction of a period, at a step of about 10 s that
+    divides it; Delta i comes from state_to_elements on the last sample.
+    This is the numerical counterpart of perturb_sweep's closed form when
+    el starts at argument of latitude -pi/2.
+    """
+    w = km_day2_to_km_s2(w_km_day2)
+
+    def push(r, v, epoch):
+        h = np.cross(r, v)
+        return (w / np.linalg.norm(h)) * h
+
+    span = exposure * orbital_period(el.a)
+    traj = propagate(elements_to_state(el), span, dt=span / round(span / 10.0),
+                     perturbation=push)
+    end = StateVector(traj.r[-1], traj.v[-1], el.epoch)
+    return state_to_elements(end).i - el.i
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import contextlib
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,16 +20,16 @@ from leosrp.geotrack import (GeoPoint, GroundStation, cap_angle, find_passes,
 from leosrp.kepler import (KeplerianElements, circular_velocity,
                            elements_to_state, orbital_period, orbits_per_day,
                            state_to_elements)
-from leosrp.mlreg import (generate_dataset, gradient, loss, mape,
-                          normalize_features, predict, split_dataset, train)
+from leosrp.mlreg import (Dataset, generate_dataset, mape, normalize_features,
+                          predict, split_dataset, train)
 from leosrp.propagator import angular_momentum, propagate, specific_energy
-from leosrp.srp import (SrpConfig, inclination_delta, km_day2_to_km_s2,
-                        perturb_sweep, srp_acceleration, srp_year_series,
-                        two_body_position)
+from leosrp.srp import (SrpConfig, km_day2_to_km_s2, perturb_sweep,
+                        srp_acceleration, srp_year_series, two_body_position)
 from leosrp.timeframe import CONSTANTS, Epoch
 from leosrp.tle import parse_tle, tle_to_elements
 from tests import golden
-from tests.conftest import STATIONS, TLE_TOKENS_1, TLE_TOKENS_2
+from tests.conftest import (STATIONS, TLE_TOKENS_1, TLE_TOKENS_2,
+                            propagated_delta_i)
 
 TWO_PI = 2.0 * math.pi
 EPOCH = Epoch(2459905.5)
@@ -235,20 +236,21 @@ def test_08_srp_magnitude_direction_scaling(report, el0):
 
 
 def test_09_inclination_drift(report, el0):
-    with report(9, "out-of-plane drift: closed form, full-period cancellation, affine sweep"):
+    with report(9, "out-of-plane drift: closed form vs RK4, full-period cancellation, affine sweep"):
         a = el0.a
         n = math.sqrt(CONSTANTS.mu_earth / a ** 3)
-        period = TWO_PI / n
-        w = km_day2_to_km_s2(0.00994)
-        u_of_t = lambda t: -0.5 * math.pi + n * t
-        scale = 2.0 * w / (n ** 2 * a)
+        scale = 2.0 * km_day2_to_km_s2(0.00994) / (n ** 2 * a)
 
-        half = inclination_delta(lambda t: w, u_of_t, n, a,
-                                 0.0, period / 2.0, period / 4096.0)
-        assert half == pytest.approx(scale, rel=1e-6)
+        # 1 km/day^2 along the orbit normal for half a period from u = -pi/2,
+        # propagated; at 0.00994 km/day^2 the change is at the acos rounding
+        # of state_to_elements, and delta_i is linear in W
+        start = replace(el0, argp=0.0, true_anomaly=1.5 * math.pi)
+        half = perturb_sweep(1.0, 0.0, 1, start)[0].delta_i
+        assert propagated_delta_i(start, 1.0, 0.5) == pytest.approx(
+            half, rel=1e-6)
 
-        full = inclination_delta(lambda t: w, u_of_t, n, a,
-                                 0.0, period, period / 4096.0)
+        full = perturb_sweep(0.00994, 0.0, 1, el0,
+                             per_orbit_exposure=1.0)[0].delta_i
         assert abs(full) <= 1e-12 * scale
 
         entries = perturb_sweep(0.00994, 1e-4, 50, el0)
@@ -263,22 +265,27 @@ def test_10_regression_pipeline(report, el0):
         feats = rng.uniform(-1.0, 1.0, size=(30, 3))
         y = feats @ np.array([2.0, -1.0, 0.5]) + 0.3
         normed, _ = normalize_features(feats)
-        w = rng.normal(size=3)
-        b = float(rng.normal())
-        gw, gb = gradient(normed, y, w, b)
-        eps = 1e-6
-        for j in range(3):
-            wp = w.copy(); wp[j] += eps
-            wm = w.copy(); wm[j] -= eps
-            fd = (loss(normed, y, wp, b) - loss(normed, y, wm, b)) / (2.0 * eps)
-            assert abs(gw[j] - fd) < 1e-6
-        fd = (loss(normed, y, w, b + eps) - loss(normed, y, w, b - eps)) / (2.0 * eps)
-        assert abs(gb - fd) < 1e-6
-
-        from leosrp.mlreg import Dataset
         ds_lin = Dataset(features=feats, targets=y[:, None],
                          feature_names=("f1", "f2", "f3"),
                          target_names=("t",))
+
+        # every epoch is one step theta_{k+1} = theta_k - lr grad J(theta_k),
+        # grad J by central differences of J = (1/2m) |X theta - y|^2
+        def loss(theta):
+            err = normed @ theta[:3] + theta[3] - y
+            return float(err @ err) / (2.0 * len(y))
+
+        def theta(epochs):
+            reg = train(ds_lin, lr=0.05, epochs=epochs).models[0]
+            return np.append(reg.weights, reg.bias)
+
+        eps = 1e-6
+        for k in (1, 2, 10, 100):
+            th = theta(k)
+            fd = np.array([(loss(th + d) - loss(th - d)) / (2.0 * eps)
+                           for d in eps * np.eye(4)])
+            assert np.all(np.abs(theta(k + 1) - th + 0.05 * fd) < 1e-6)
+
         model_lin = train(ds_lin, lr=0.05, epochs=20000)
         design = np.column_stack([normed, np.ones(len(normed))])
         ref, *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -85,13 +85,16 @@ def test_bad_station_string(elements_csv, tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ("--station", "nan,76"),
     ("--station", "30.3,76.4", "--criterion", "fov", "--fov-deg", "nan"),
-    ("--station", "30.3,76.4", "--criterion", "fov", "--fov-deg", "-10")])
+    ("--station", "30.3,76.4", "--criterion", "fov", "--fov-deg", "-10"),
+    ("--station", "30,inf"), ("--station", "30,76,inf")])
 def test_bad_station_values_are_data_errors(elements_csv, tmp_path, capsys,
                                             flags):
     out = str(tmp_path / "run")
     assert run_cli("passes", "--elements", elements_csv, "--hours", "1",
                    *flags, "--out", out) == 2
     assert not os.path.exists(os.path.join(out, "passes.csv"))
+    if len(flags) == 2:  # the message names the station text as typed
+        assert repr(flags[1]) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [
@@ -360,6 +363,19 @@ def test_propagate_step_bound_is_data_error(elements_csv, tmp_path, capsys,
                    "--out", out) == 2
     assert "steps" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "trajectory.csv"))
+
+
+@pytest.mark.parametrize("argv, word", [
+    (("srp", "year", "--step-days", "1e-9"), "records"),
+    (("pipeline", "--step-days", "1e-9"), "records"),
+    (("srp", "sweep", "--count", "1000000000000"), "count"),
+    (("pipeline", "--sweep-count", "1000000000000"), "count")])
+def test_sizes_from_flags_are_bounded(elements_csv, tmp_path, capsys, argv,
+                                      word):
+    # each would otherwise allocate a record or entry per step
+    assert run_cli(*argv, "--elements", elements_csv,
+                   "--out", str(tmp_path)) == 2
+    assert word in capsys.readouterr().err
 
 
 def test_parser_reuse_leaks_no_state(el0, elements_csv, tmp_path):

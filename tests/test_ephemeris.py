@@ -158,6 +158,11 @@ def test_analytic_table_span():
     assert table.jds[0] == 2459905.5
     assert table.jds[-1] == 2459910.5
     assert np.all(np.diff(table.jds) > 0)
+    # the record count is bounded before any record is built
+    for stop, step in ((2459910.5, 5.0 / ephemeris.MAX_TABLE_RECORDS),
+                       (math.inf, 1.0)):
+        with pytest.raises(DomainError, match="records"):
+            analytic_sun_table(2459905.5, stop, step_days=step)
 
 
 # --- fetch and cache ---

@@ -5,9 +5,9 @@ import pytest
 
 from leosrp.errors import DivergenceError, DomainError, FormatError, MetricError
 from leosrp.mlreg import (Dataset, apply_normalization, generate_dataset,
-                          gradient, load_model, loss, mape,
-                          normalize_features, predict, read_dataset_csv,
-                          save_model, split_dataset, train, write_dataset_csv)
+                          load_model, mape, normalize_features, predict,
+                          read_dataset_csv, save_model, split_dataset, train,
+                          write_dataset_csv)
 from leosrp.srp import SrpConfig, perturb_sweep
 
 
@@ -34,30 +34,55 @@ def test_normalize_columns():
 
 
 def test_normalize_constant_column():
-    feats = np.column_stack([np.full(10, 4.2), np.arange(10.0)])
+    # 25 rows of 4.2 have a float std of 0, of 13.7 one of 1.8e-15 (rounding
+    # of the mean); a spread of one subnormal has a std that underflows to 0
+    tiny = np.r_[np.zeros(24), 5e-324]
+    feats = np.column_stack([np.full(25, 4.2), np.full(25, 13.7), tiny,
+                             np.arange(25.0)])
+    assert feats.std(axis=0)[1] > 0.0
     normed, stats = normalize_features(feats)
     assert np.all(np.isfinite(normed))
-    assert np.allclose(normed[:, 0], 0.0)
+    assert np.array_equal(stats.std[:3], [1.0, 1.0, 1.0])
+    assert np.allclose(normed[:, :3], 0.0)
+
+
+def test_constant_columns_do_not_move_predictions(el0):
+    # the targets do not depend on the craft, so a model trained on another
+    # (constant) mass and area predicts what the default one does
+    entries = perturb_sweep(0.00994, 1e-4, 50, el0)
+    models = [train(split_dataset(generate_dataset(entries, cfg),
+                                  ratio=0.8, seed=42)[0])
+              for cfg in (SrpConfig(), SrpConfig(mass=13.7, area=1.3))]
+    _, val = split_dataset(generate_dataset(entries, SrpConfig()),
+                           ratio=0.8, seed=42)
+    assert np.allclose(predict(models[1], val.features),
+                       predict(models[0], val.features), rtol=0.0, atol=1e-6)
 
 
 def test_gradient_matches_finite_difference():
+    # each epoch of train is one gradient step on J = (1/2m) |X theta - y|^2:
+    # theta_{k+1} - theta_k = -lr grad J(theta_k), grad J by central
+    # differences
     ds = toy_dataset(n=25)
     normed, _ = normalize_features(ds.features)
-    rng = np.random.default_rng(8)
-    eps = 1e-6
+    lr, eps = 0.05, 1e-6
+
+    def thetas(epochs):
+        return [np.append(m.weights, m.bias)
+                for m in train(ds, lr=lr, epochs=epochs).models]
+
     for t in range(ds.targets.shape[1]):
         y = ds.targets[:, t]
-        w = rng.normal(size=3)
-        b = float(rng.normal())
-        gw, gb = gradient(normed, y, w, b)
-        for j in range(w.size):
-            wp = w.copy(); wp[j] += eps
-            wm = w.copy(); wm[j] -= eps
-            num = (loss(normed, y, wp, b) - loss(normed, y, wm, b)) / (2.0 * eps)
-            assert gw[j] == pytest.approx(num, abs=1e-6)
-        num = (loss(normed, y, w, b + eps)
-               - loss(normed, y, w, b - eps)) / (2.0 * eps)
-        assert gb == pytest.approx(num, abs=1e-6)
+
+        def loss(theta):
+            err = normed @ theta[:-1] + theta[-1] - y
+            return float(err @ err) / (2.0 * len(y))
+
+        for k in (1, 2, 10, 100):
+            theta, after = thetas(k)[t], thetas(k + 1)[t]
+            grad = np.array([(loss(theta + d) - loss(theta - d)) / (2.0 * eps)
+                             for d in eps * np.eye(theta.size)])
+            assert np.all(np.abs(after - theta + lr * grad) < 1e-6)
 
 
 def test_train_recovers_normal_equations():

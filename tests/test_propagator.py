@@ -7,7 +7,7 @@ from leosrp.errors import DomainError
 from leosrp.kepler import (KeplerianElements, elements_at, elements_to_state,
                            orbital_period)
 from leosrp.propagator import (MAX_STEPS, angular_momentum, propagate,
-                               rk4_step, specific_energy, two_body_accel)
+                               specific_energy, two_body_accel)
 from leosrp.timeframe import CONSTANTS, Epoch
 
 EPOCH = Epoch(2459905.5)
@@ -28,19 +28,14 @@ def test_two_body_accel_direction():
         two_body_accel(np.zeros(3))
 
 
-def test_rk4_step_radius_error():
-    _, sv = circ_state()
-    nxt = rk4_step(sv, 10.0, lambda r, v, t: two_body_accel(r))
-    # a circular orbit should keep its radius to RK4 local accuracy
-    assert np.linalg.norm(nxt.r) == pytest.approx(6928.18, abs=1e-6)
-    assert nxt.epoch.seconds_since(sv.epoch) == pytest.approx(10.0, abs=1e-4)
-
-
 def test_propagate_grid():
     _, sv = circ_state()
     traj = propagate(sv, 100.0, dt=10.0)
     assert len(traj) == 11
     assert traj.t[0] == 0.0 and traj.t[-1] == 100.0
+    assert traj.jds[0] == sv.epoch.jd
+    assert traj.jds[-1] == pytest.approx(sv.epoch.jd + 100.0 / 86400.0,
+                                         rel=0.0, abs=1e-9)
     # non-multiple duration gets a shorter final step
     traj = propagate(sv, 95.0, dt=10.0)
     assert traj.t[-1] == pytest.approx(95.0, abs=1e-12)
@@ -96,23 +91,6 @@ def test_perturbation_hook_contract():
     assert dz == pytest.approx(0.5 * 1e-6 * 100.0 ** 2, rel=1e-2)
 
 
-def test_rk4_step_matches_propagate():
-    _, sv = circ_state()
-    nxt = rk4_step(sv, 10.0, lambda r, v, t: two_body_accel(r))
-    traj = propagate(sv, 10.0, dt=10.0)
-    assert np.allclose(nxt.r, traj.r[1], rtol=0.0, atol=1e-9)
-    assert np.allclose(nxt.v, traj.v[1], rtol=0.0, atol=1e-12)
-    # stage times are seconds from the start of the step; tuples accepted
-    times = []
-
-    def accel(r, v, t):
-        times.append(t)
-        return tuple(two_body_accel(r))
-
-    rk4_step(sv, 10.0, accel)
-    assert times == [0.0, 5.0, 5.0, 10.0]
-
-
 def test_conservation_two_orbits():
     el, sv = circ_state()
     t_orbit = orbital_period(el.a)
@@ -157,10 +135,10 @@ def test_perturbation_hook_times():
         return np.zeros(3)
 
     propagate(sv, 40.0, dt=10.0, perturbation=hook)
-    # RK4 queries at step edges and midpoints, all within the window
-    assert min(seen) >= -1e-6
-    assert max(seen) <= 40.0 + 1e-4
-    assert any(abs(t - 5.0) < 1e-4 for t in seen)  # midpoint stage
+    # RK4 queries each step at its start, twice at its midpoint and at its
+    # end (to the Julian-date quantization of an Epoch)
+    expect = [10.0 * k + s for k in range(4) for s in (0.0, 5.0, 5.0, 10.0)]
+    assert seen == pytest.approx(expect, abs=1e-4)
 
 
 def test_drag_like_hook_lowers_energy():
@@ -183,13 +161,3 @@ def test_reentry_warning():
                      dt=10.0)
     assert traj.warnings
     assert "reentry" in traj.warnings[0]
-
-
-def test_trajectory_state_at():
-    _, sv = circ_state()
-    traj = propagate(sv, 100.0, dt=10.0)
-    mid = traj.state_at(5)
-    assert np.allclose(mid.r, traj.r[5])
-    assert mid.epoch.seconds_since(traj.epoch0) == pytest.approx(50.0, abs=1e-4)
-    assert len(traj.samples) == len(traj)
-    assert traj.jds[0] == traj.epoch0.jd

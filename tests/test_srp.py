@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from leosrp.ephemeris import analytic_sun_table
 from leosrp.errors import DomainError, EphemerisRangeError
 from leosrp.kepler import KeplerianElements
-from leosrp.srp import (SrpConfig, inclination_delta, km_day2_to_km_s2,
+from leosrp.srp import (MAX_SWEEP_ENTRIES, SrpConfig, km_day2_to_km_s2,
                         km_s2_to_km_day2, perturb_sweep, srp_acceleration,
-                        srp_force, srp_perturbation, srp_year_series,
+                        srp_perturbation, srp_year_series,
                         table_sun_position, two_body_position)
 from leosrp.timeframe import CONSTANTS, Epoch
+from tests.conftest import propagated_delta_i
 
 AU = CONSTANTS.au
 EPOCH = Epoch(2459905.5)
@@ -75,13 +77,6 @@ def test_shadow_zeroes_acceleration():
     assert np.all(acc == 0.0)
 
 
-def test_force_from_acceleration():
-    r_sun = np.array([AU, 0.0, 0.0])
-    acc = srp_acceleration(np.zeros(3), r_sun, default_cfg())
-    force = srp_force(acc, 15.0)
-    assert np.linalg.norm(force) == pytest.approx(5.928e-6, abs=2e-9)  # N
-
-
 def test_unit_conversions_invert():
     assert km_s2_to_km_day2(km_day2_to_km_s2(0.00994)) == pytest.approx(0.00994, rel=1e-15)
     assert km_day2_to_km_s2(1.0) == pytest.approx(1.0 / 86400.0 ** 2, rel=1e-15)
@@ -122,41 +117,35 @@ def test_year_series_shadow_fraction(el0):
 
 # --- inclination drift ---
 
-def test_drift_constant_w_closed_form():
-    a = 6928.18
-    n = math.sqrt(CONSTANTS.mu_earth / a ** 3)
-    period = 2.0 * math.pi / n
-    w = km_day2_to_km_s2(0.00994)
-
-    def u_of_t(t):
-        return -0.5 * math.pi + n * t
-
-    # constant W across u in [-pi/2, pi/2] integrates to 2 W / (n^2 a)
-    delta = inclination_delta(lambda t: w, u_of_t, n, a,
-                              0.0, period / 2.0, period / 4096.0)
-    expect = 2.0 * w / (n ** 2 * a)
-    assert delta == pytest.approx(expect, rel=1e-6)
+def test_drift_constant_w_closed_form(el0):
+    # the sweep's closed form against an RK4 propagation of its force; at
+    # the paper's 0.00994 km/day^2 the change (3e-10 rad) sits at the acos
+    # rounding of state_to_elements, and delta_i is linear in W
+    start = replace(el0, argp=0.0, true_anomaly=1.5 * math.pi)  # u = -pi/2
+    for w in (1.0, 100.0):
+        for exposure in (0.25, 0.5):
+            closed = perturb_sweep(w, 0.0, 1, start,
+                                   per_orbit_exposure=exposure)[0].delta_i
+            assert propagated_delta_i(start, w, exposure) == pytest.approx(
+                closed, rel=1e-6)
 
 
-def test_drift_full_period_cancels():
-    a = 6928.18
-    n = math.sqrt(CONSTANTS.mu_earth / a ** 3)
-    period = 2.0 * math.pi / n
-    w = km_day2_to_km_s2(0.00994)
-    scale = 2.0 * w / (n ** 2 * a)
-
-    delta = inclination_delta(lambda t: w, lambda t: -0.5 * math.pi + n * t,
-                              n, a, 0.0, period, period / 4096.0)
-    assert abs(delta) < 1e-9 * scale
+def test_drift_full_period_cancels(el0):
+    n = math.sqrt(CONSTANTS.mu_earth / el0.a ** 3)
+    scale = 2.0 * km_day2_to_km_s2(0.00994) / (n ** 2 * el0.a)
+    entry = perturb_sweep(0.00994, 0.0, 1, el0, per_orbit_exposure=1.0)[0]
+    assert abs(entry.delta_i) < 1e-12 * scale
 
 
-def test_drift_argument_checks():
+def test_drift_argument_checks(el0):
+    for count in (0, MAX_SWEEP_ENTRIES + 1):
+        with pytest.raises(DomainError, match="count"):
+            perturb_sweep(0.00994, 1e-4, count, el0)
+    for exposure in (0.0, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            perturb_sweep(0.00994, 1e-4, 5, el0, per_orbit_exposure=exposure)
     with pytest.raises(DomainError):
-        inclination_delta(lambda t: 0.0, lambda t: 0.0, -1.0, 7000.0,
-                          0.0, 10.0, 1.0)
-    with pytest.raises(DomainError):
-        inclination_delta(lambda t: 0.0, lambda t: 0.0, 0.001, 7000.0,
-                          10.0, 10.0, 1.0)
+        perturb_sweep(-0.00994, 1e-4, 5, el0)
 
 
 # --- sweep ---
@@ -196,7 +185,6 @@ def test_sweep_scales_with_magnitude(el0):
 def test_sweep_closed_form(el0):
     a = el0.a
     n = math.sqrt(CONSTANTS.mu_earth / a ** 3)
-    period = 2.0 * math.pi / n
     for exposure in (0.25, 0.5):
         u1 = -0.5 * math.pi + 2.0 * math.pi * exposure
         entries = perturb_sweep(0.00994, 1e-4, 5, el0,
@@ -205,14 +193,6 @@ def test_sweep_closed_form(el0):
             w = km_day2_to_km_s2(entry.a_srp_km_day2)
             expect = w * (math.sin(u1) + 1.0) / (n ** 2 * a)
             assert entry.delta_i == pytest.approx(expect, rel=1e-12)
-            quad = inclination_delta(lambda t: w,
-                                     lambda t: -0.5 * math.pi + n * t, n, a,
-                                     0.0, exposure * period, period / 4096.0)
-            assert entry.delta_i == pytest.approx(quad, rel=1e-6)
-    # a full period integrates cos(u) to zero
-    scale = 2.0 * km_day2_to_km_s2(0.00994) / (n ** 2 * a)
-    entry = perturb_sweep(0.00994, 0.0, 1, el0, per_orbit_exposure=1.0)[0]
-    assert abs(entry.delta_i) < 1e-12 * scale
 
 
 def test_sweep_rejects_eccentric(el0):
