@@ -1,7 +1,7 @@
 """Golden CLI artifacts: the acceptance-11 flag set, checked across commits.
 
 `run_all(out)` runs the acceptance-11 commands (plus one geometric-shadow
-year series) into `out`; `compare(out)` checks every file against the copy
+year series and two radiation-pressure trajectories) into `out`; `compare(out)` checks every file against the copy
 kept in tests/golden/ and describes each mismatch: the file, the largest
 |delta| per CSV column, and the Python and numpy versions that wrote the
 golden files beside the ones running now (the bytes depend on libm and
@@ -31,16 +31,19 @@ if __name__ == "__main__":  # run as a script: make leosrp and tests importable
 import numpy as np  # noqa: E402
 
 from leosrp import cli  # noqa: E402
+from leosrp.ephemeris import sun_position_analytic  # noqa: E402
 from leosrp.kepler import ELEMENTS_CSV_HEADER, elements_to_row  # noqa: E402
+from leosrp.timeframe import Epoch  # noqa: E402
 from tests.conftest import (TLE_TOKENS_1, TLE_TOKENS_2,  # noqa: E402
                             reference_elements)
 
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 VERSIONS_FILE = "VERSIONS"
 
-# (subdirectory of the output, argv); ELEMENTS and TLE stand for the input
-# files run_all writes.  The top-level commands are acceptance 11's.
-ELEMENTS, TLE = "<elements>", "<tle>"
+# (subdirectory of the output, argv); ELEMENTS, TLE and SUN stand for the
+# input files run_all writes.  The top-level commands are acceptance 11's.
+# The geometric-shadow trajectory enters the Earth's shadow at about 2400 s.
+ELEMENTS, TLE, SUN = "<elements>", "<tle>", "<sun>"
 COMMANDS = (
     ("", ("propagate", "--elements", ELEMENTS, "--hours", "0.2")),
     ("", ("groundtrack", "--elements", ELEMENTS, "--hours", "0.2")),
@@ -55,7 +58,22 @@ COMMANDS = (
     ("", ("ml", "train", "--data", "<out>/dataset.csv")),
     ("geometric", ("srp", "year", "--elements", ELEMENTS,
                    "--shadow", "geometric")),
+    ("srp_geometric", ("propagate", "--elements", ELEMENTS, "--hours", "0.9",
+                       "--srp", "--shadow", "geometric")),
+    ("srp_table", ("propagate", "--elements", ELEMENTS, "--hours", "0.5",
+                   "--srp", "--ephem", SUN)),
 )
+
+
+def _sun_csv() -> str:
+    """jd,x,y,z rows of the analytic Sun, hourly around the reference epoch."""
+    jd0 = reference_elements().epoch.jd
+    rows = ["jd,x_km,y_km,z_km"]
+    for k in range(-1, 3):
+        jd = jd0 + k / 24.0
+        xyz = sun_position_analytic(Epoch(jd)).tolist()
+        rows.append(",".join(map(repr, (jd, *xyz))))
+    return "\n".join(rows) + "\n"
 
 
 def versions() -> str:
@@ -67,12 +85,15 @@ def run_all(out: str) -> list[str]:
     inputs = os.path.join(out, ".inputs")
     os.makedirs(inputs, exist_ok=True)
     paths = {ELEMENTS: os.path.join(inputs, "elements.csv"),
-             TLE: os.path.join(inputs, "starlink.tle")}
+             TLE: os.path.join(inputs, "starlink.tle"),
+             SUN: os.path.join(inputs, "sun.csv")}
     with open(paths[ELEMENTS], "w", encoding="utf-8") as fh:
         fh.write(ELEMENTS_CSV_HEADER + "\n"
                  + elements_to_row(reference_elements()) + "\n")
     with open(paths[TLE], "w", encoding="utf-8") as fh:
         fh.write(TLE_TOKENS_1 + "\n" + TLE_TOKENS_2 + "\n")
+    with open(paths[SUN], "w", encoding="utf-8") as fh:
+        fh.write(_sun_csv())
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("ignore")
         for sub, argv in COMMANDS:
