@@ -74,6 +74,7 @@ from .ephemeris import (
     parse_horizons_vectors,
     shadow_factor,
     sun_position_analytic,
+    sun_xyz,
 )
 from .geotrack import (
     GeoPoint,

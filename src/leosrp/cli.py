@@ -189,7 +189,7 @@ def _cmd_propagate(args) -> int:
     if args.srp:
         cfg = _parse_config(args.config, args.shadow)
         if args.ephem == "analytic":
-            sun = ephemeris.sun_position_analytic
+            sun = ephemeris.sun_xyz
         else:
             sun = srp.table_sun_position(_sun_table(args))
         hook = srp.srp_perturbation(cfg, sun)

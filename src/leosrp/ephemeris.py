@@ -259,16 +259,16 @@ def fetch_horizons(body: str, jd_start: float, jd_stop: float,
     return text
 
 
-def sun_position_analytic(epoch: Epoch) -> np.ndarray:
+def sun_xyz(jd: float):
     """Geocentric Sun position from a low-precision analytic model, km.
 
     Mean longitude plus equation-of-center terms give the ecliptic
     longitude; a two-term cosine series gives the distance; the result is
     rotated through the mean obliquity into equatorial coordinates.  Good to
     a few hundredths of a degree, which is ample for a radiation-pressure
-    direction.
+    direction.  Returns (sx, sy, sz) floats at Julian date jd.
     """
-    n = epoch.jd - 2451545.0
+    n = jd - 2451545.0
     mean_lon = (280.460 + 0.9856474 * n) % 360.0
     g = math.radians((357.528 + 0.9856003 * n) % 360.0)
     lam = math.radians(mean_lon + 1.915 * math.sin(g)
@@ -276,9 +276,13 @@ def sun_position_analytic(epoch: Epoch) -> np.ndarray:
     dist_au = 1.00014 - 0.01671 * math.cos(g) - 0.00014 * math.cos(2.0 * g)
     eps = math.radians(23.439 - 4.0e-7 * n)
     r = dist_au * CONSTANTS.au
-    return np.array([r * math.cos(lam),
-                     r * math.cos(eps) * math.sin(lam),
-                     r * math.sin(eps) * math.sin(lam)])
+    return (r * math.cos(lam), r * math.cos(eps) * math.sin(lam),
+            r * math.sin(eps) * math.sin(lam))
+
+
+def sun_position_analytic(epoch: Epoch) -> np.ndarray:
+    """sun_xyz at an Epoch, as a (3,) array, km."""
+    return np.array(sun_xyz(epoch.jd))
 
 
 def analytic_sun_table(jd_start: float, jd_stop: float,

@@ -5,11 +5,11 @@ The integrator is the classical fourth-order Runge-Kutta scheme on the
 requested duration is hit exactly.  The state is carried as six Python
 floats; the central-body term is evaluated inline.
 
-Perturbation hook contract: a hook is called as accel = hook(r, v, epoch)
-once per RK4 stage, with freshly allocated (3,) float arrays r (km) and
-v (km/s) and the stage Epoch.  It may keep or modify those arrays.  It
-returns its km/s^2 acceleration as any length-3 sequence (an array, a list
-or a tuple), which is added to the central-body term.
+Perturbation hook contract: a hook is called as
+(ax, ay, az) = hook(x, y, z, vx, vy, vz, jd) once per RK4 stage, with the
+stage position (km) and velocity (km/s) as six Python floats and the stage
+Julian date jd = epoch0.jd + t / 86400, t in seconds from epoch0.  Its
+km/s^2 acceleration is added to the central-body term.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ def two_body_accel(r, mu: float = CONSTANTS.mu_earth) -> np.ndarray:
     if rn == 0.0:
         raise DegenerateOrbitError("two-body acceleration singular at |r| = 0")
     return (-mu / rn ** 3) * r
-
-
-def _xyz(vec):
-    """A length-3 vector as three numbers; arrays become Python floats."""
-    if isinstance(vec, np.ndarray):
-        vec = vec.tolist()
-    x, y, z = vec
-    return x, y, z
 
 
 def _rk4(state, steps, accel):
@@ -125,9 +117,9 @@ def propagate(state0: StateVector, duration: float, dt: float = 10.0,
         duration: Propagation span, seconds (finite, > 0).
         dt: Step size, seconds (finite, > 0); a shorter final step lands
             exactly on the duration when it does not divide evenly.
-        perturbation: Optional hook accel(r, v, epoch) -> km/s^2 length-3
-            sequence, added to the two-body term (see the module docstring
-            for the calling contract).
+        perturbation: Optional hook (x, y, z, vx, vy, vz, jd) ->
+            (ax, ay, az) km/s^2, added to the two-body term (see the module
+            docstring for the calling contract).
 
     Returns:
         Trajectory sampled at every step boundary, including t = 0.  If any
@@ -167,11 +159,11 @@ def propagate(state0: StateVector, duration: float, dt: float = 10.0,
 
     accel = central
     if perturbation is not None:
+        jd0 = epoch0.jd
+
         def accel(x, y, z, vx, vy, vz, t):
             cx, cy, cz = central(x, y, z, vx, vy, vz, t)
-            px, py, pz = _xyz(perturbation(
-                np.array((x, y, z)), np.array((vx, vy, vz)),
-                epoch0.plus_seconds(t)))
+            px, py, pz = perturbation(x, y, z, vx, vy, vz, jd0 + t / 86400.0)
             return cx + px, cy + py, cz + pz
 
     y0 = (*state0.r.tolist(), *state0.v.tolist())

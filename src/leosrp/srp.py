@@ -28,7 +28,6 @@ from .ephemeris import EphemerisTable, _as_vec3, bracket, lerp, shadow_nu
 from .errors import DomainError, EphemerisRangeError
 from .kepler import (TWO_PI, KeplerianElements, _rotation_terms,
                      mean_to_true, true_to_mean)
-from .propagator import _xyz
 from .timeframe import CONSTANTS, Epoch
 
 SECONDS_PER_DAY = 86400.0
@@ -237,54 +236,60 @@ def srp_year_series(table: EphemerisTable, sat_position, cfg: SrpConfig,
     return samples
 
 
-def srp_perturbation(cfg: SrpConfig, sun_position):
-    """Build a propagation hook accel(r, v, epoch) for the force model.
+def srp_perturbation(cfg: SrpConfig, sun_xyz):
+    """Build a propagation hook (x, y, z, vx, vy, vz, jd) -> (ax, ay, az).
 
-    The hook returns the acceleration as an (ax, ay, az) tuple of floats,
-    km/s^2; it equals srp_acceleration(r, sun, cfg, nu) with nu forced or
-    from shadow_factor(r, sun).
+    The hook follows the float contract of propagator.propagate and
+    returns the acceleration in km/s^2; it equals
+    srp_acceleration(r, sun, cfg, nu) with nu forced or from
+    shadow_factor(r, sun).
 
     Args:
         cfg: Craft parameters; nu_override forces the shadow factor.
-        sun_position: Callable epoch -> geocentric Sun position, km (an
-            ephemeris interpolant or the analytic model).
+        sun_xyz: Callable jd -> (sx, sy, sz), the geocentric Sun position
+            in km as three floats (ephemeris.sun_xyz or a
+            table_sun_position provider).
+
+    Raises (from the hook):
+        DomainError: If the satellite coincides with the Sun position or,
+            with the geometric shadow, is not above the Earth surface or the
+            Sun vector is zero.
     """
     lit = _coefficient(cfg)
     forced = cfg.nu_override
     if forced is not None:
         coef = forced * lit
 
-        def hook(r, v, epoch):
-            return cannonball(*_xyz(r), *_xyz(sun_position(epoch)), coef)
+        def hook(x, y, z, vx, vy, vz, jd):
+            return cannonball(x, y, z, *sun_xyz(jd), coef)
     else:
-        def hook(r, v, epoch):
-            x, y, z = _xyz(r)
-            sx, sy, sz = _xyz(sun_position(epoch))
+        def hook(x, y, z, vx, vy, vz, jd):
+            sx, sy, sz = sun_xyz(jd)
             nu = shadow_nu(x, y, z, sx, sy, sz)
             return cannonball(x, y, z, sx, sy, sz, nu * lit)
     return hook
 
 
 def table_sun_position(table: EphemerisTable):
-    """Provider closure: epoch -> interpolated Sun position from a table.
+    """Provider closure: jd -> interpolated Sun position from a table.
 
-    Same values as interpolate(table, epoch).sun_geocentric; the node
-    positions are unpacked to floats once, up front.
+    Returns (sx, sy, sz) floats, km: the values of
+    interpolate(table, Epoch(jd)).sun_geocentric.
 
     Raises (from the provider):
-        EphemerisRangeError: If the epoch is outside the table span.
+        EphemerisRangeError: If jd is outside the table span.
     """
-    nodes = [rec.sun_geocentric.tolist() for rec in table.records]
+    nodes = [tuple(rec.sun_geocentric.tolist()) for rec in table.records]
     last = len(nodes) - 1
 
-    def position(epoch: Epoch) -> np.ndarray:
-        k, w = bracket(table, epoch.jd)
+    def position(jd: float):
+        k, w = bracket(table, jd)
         a = nodes[k]
         if k == last:
-            return np.array(a)
+            return a
         b = nodes[k + 1]
-        return np.array((lerp(a[0], b[0], w), lerp(a[1], b[1], w),
-                         lerp(a[2], b[2], w)))
+        return (lerp(a[0], b[0], w), lerp(a[1], b[1], w),
+                lerp(a[2], b[2], w))
     return position
 
 

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from leosrp.kepler import (ELEMENTS_CSV_HEADER, KeplerianElements, StateVector,
@@ -47,9 +46,10 @@ def propagated_delta_i(el: KeplerianElements, w_km_day2: float,
     """
     w = km_day2_to_km_s2(w_km_day2)
 
-    def push(r, v, epoch):
-        h = np.cross(r, v)
-        return (w / np.linalg.norm(h)) * h
+    def push(x, y, z, vx, vy, vz, jd):
+        hx, hy, hz = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
+        k = w / math.sqrt(hx * hx + hy * hy + hz * hz)
+        return k * hx, k * hy, k * hz
 
     span = exposure * orbital_period(el.a)
     traj = propagate(elements_to_state(el), span, dt=span / round(span / 10.0),

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leosrp.ephemeris import (analytic_sun_table, interpolate, shadow_factor,
-                              sun_position_analytic)
+                              sun_xyz)
 from leosrp.errors import DomainError, EphemerisRangeError
 from leosrp.kepler import KeplerianElements, elements_at, elements_to_state
 from leosrp.propagator import propagate
@@ -27,7 +27,7 @@ from leosrp.timeframe import CONSTANTS, Epoch
 JD0 = 2459905.5
 R_E = CONSTANTS.r_earth
 TABLE = analytic_sun_table(JD0, JD0 + 20.0, step_days=1.0)
-SUNS = {"analytic": sun_position_analytic, "table": table_sun_position(TABLE)}
+SUNS = {"analytic": sun_xyz, "table": table_sun_position(TABLE)}
 
 configs = st.builds(
     SrpConfig,
@@ -35,7 +35,7 @@ configs = st.builds(
     mass=st.floats(0.5, 500.0),
     area=st.floats(0.01, 20.0),
     nu_override=st.sampled_from([None, 0, 1]))
-epochs = st.floats(JD0, JD0 + 20.0).map(Epoch)
+jds = st.floats(JD0, JD0 + 20.0)
 
 
 def _place(sun, radius, side, frac, phi):
@@ -62,14 +62,14 @@ def _place(sun, radius, side, frac, phi):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cfg=configs, epoch=epochs, source=st.sampled_from(sorted(SUNS)),
+@given(cfg=configs, jd=jds, source=st.sampled_from(sorted(SUNS)),
        side=st.sampled_from(["day", "night", "umbra"]),
        radius=st.floats(R_E + 150.0, R_E + 3000.0),
        frac=st.floats(0.0, 1.0), phi=st.floats(0.0, 2.0 * math.pi))
-def test_hook_matches_vector_force(cfg, epoch, source, side, radius, frac,
+def test_hook_matches_vector_force(cfg, jd, source, side, radius, frac,
                                    phi):
-    sun_position = SUNS[source]
-    sun = sun_position(epoch)
+    sun_of = SUNS[source]
+    sun = np.array(sun_of(jd))
     r = _place(sun, radius, side, frac, phi)
     nu = shadow_factor(r, sun)
     assert nu == (0 if side == "umbra" else 1)
@@ -77,8 +77,8 @@ def test_hook_matches_vector_force(cfg, epoch, source, side, radius, frac,
         nu = cfg.nu_override
     expect = srp_acceleration(r, sun, cfg, nu=nu)
 
-    got = srp_perturbation(cfg, sun_position)(r.copy(), np.zeros(3), epoch)
-    assert len(got) == 3
+    got = srp_perturbation(cfg, sun_of)(*r.tolist(), 0.0, 0.0, 0.0, jd)
+    assert len(got) == 3 and all(type(c) is float for c in got)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
     if nu == 0:
         assert not np.any(np.asarray(got))
@@ -87,16 +87,15 @@ def test_hook_matches_vector_force(cfg, epoch, source, side, radius, frac,
 @settings(max_examples=200, deadline=None)
 @given(jd=st.floats(JD0, JD0 + 20.0))
 def test_table_provider_matches_interpolate(jd):
-    epoch = Epoch(jd)
-    got = SUNS["table"](epoch)
-    assert isinstance(got, np.ndarray) and got.shape == (3,)
-    assert np.array_equal(got, interpolate(TABLE, epoch).sun_geocentric)
+    got = SUNS["table"](jd)
+    assert len(got) == 3 and all(type(c) is float for c in got)
+    assert np.array_equal(got, interpolate(TABLE, Epoch(jd)).sun_geocentric)
 
 
 def test_table_provider_exact_at_nodes():
     sun = SUNS["table"]
     for rec in (TABLE.records[0], TABLE.records[7], TABLE.records[-1]):
-        assert np.array_equal(sun(rec.epoch), rec.sun_geocentric)
+        assert np.array_equal(sun(rec.epoch.jd), rec.sun_geocentric)
 
 
 @settings(max_examples=100, deadline=None)
@@ -105,41 +104,40 @@ def test_table_provider_range_error(offset):
     lo, hi = TABLE.span
     jd = lo + offset if offset < 0.0 else hi + offset
     with pytest.raises(EphemerisRangeError):
-        SUNS["table"](Epoch(jd))
+        SUNS["table"](jd)
     hook = srp_perturbation(SrpConfig(nu_override=1), SUNS["table"])
     with pytest.raises(EphemerisRangeError):
-        hook(np.array([7000.0, 0.0, 0.0]), np.zeros(3), Epoch(jd))
+        hook(7000.0, 0.0, 0.0, 0.0, 0.0, 0.0, jd)
 
 
 # radius stops short of R_E: scaling a direction to exactly R_E can round
 # its norm up by an ulp, which is above the surface; the example below keeps
 # the exact boundary, on an axis where the norm is exact.
 @settings(max_examples=200, deadline=None)
-@example(radius=R_E, epoch=Epoch(JD0), source="analytic",
-         direction=(1.0, 0.0, 0.0))
-@given(radius=st.floats(0.0, R_E * (1.0 - 1e-12)), epoch=epochs,
+@example(radius=R_E, jd=JD0, source="analytic", direction=(1.0, 0.0, 0.0))
+@given(radius=st.floats(0.0, R_E * (1.0 - 1e-12)), jd=jds,
        source=st.sampled_from(sorted(SUNS)),
        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda d: math.hypot(*d) > 1e-3))
-def test_hook_rejects_subsurface_geometric(radius, epoch, source, direction):
+def test_hook_rejects_subsurface_geometric(radius, jd, source, direction):
     r = radius * np.array(direction) / math.hypot(*direction)
     hook = srp_perturbation(SrpConfig(), SUNS[source])
     with pytest.raises(DomainError):
-        hook(r, np.zeros(3), epoch)
+        hook(*r.tolist(), 0.0, 0.0, 0.0, jd)
     with pytest.raises(DomainError):
-        shadow_factor(r, SUNS[source](epoch))
+        shadow_factor(r, SUNS[source](jd))
 
 
 def test_hook_degenerate_sun_errors():
-    r = np.array([7000.0, 0.0, 0.0])
-    hook = srp_perturbation(SrpConfig(), lambda epoch: np.zeros(3))
+    r = (7000.0, 0.0, 0.0)
+    hook = srp_perturbation(SrpConfig(), lambda jd: (0.0, 0.0, 0.0))
     with pytest.raises(DomainError, match="sun direction"):
-        hook(r, np.zeros(3), Epoch(JD0))
+        hook(*r, 0.0, 0.0, 0.0, JD0)
     for override in (None, 0, 1):
         hook = srp_perturbation(SrpConfig(nu_override=override),
-                                lambda epoch: np.array([7000.0, 0.0, 0.0]))
+                                lambda jd: r)
         with pytest.raises(DomainError, match="coincides"):
-            hook(r, np.zeros(3), Epoch(JD0))
+            hook(*r, 0.0, 0.0, 0.0, JD0)
 
 
 def test_public_vector_validation():
@@ -189,7 +187,7 @@ orbits = st.builds(
     _orbit, perigee_alt=st.floats(200.0, 3000.0),
     e=st.floats(0.0, 0.9, exclude_max=True), i=st.floats(0.0, math.pi),
     raan=st.floats(-7.0, 7.0), argp=st.floats(-7.0, 7.0),
-    f=st.floats(-7.0, 7.0), epoch=epochs)
+    f=st.floats(-7.0, 7.0), epoch=jds.map(Epoch))
 
 
 @settings(max_examples=60, deadline=None)

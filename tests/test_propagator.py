@@ -72,20 +72,19 @@ def test_perturbation_hook_contract():
     _, sv = circ_state()
     seen = []
 
-    def scribbler(r, v, epoch):
-        seen.append((type(r), r.shape, type(v), v.shape, type(epoch)))
-        r[:] = 0.0  # a hook may overwrite the arrays it is handed
-        v[:] = 0.0
-        return [0.0, 0.0, 0.0]
+    def zero(*stage):
+        seen.append(tuple(map(type, stage)))
+        return 0.0, 0.0, 0.0
 
     base = propagate(sv, 100.0, dt=10.0)
-    traj = propagate(sv, 100.0, dt=10.0, perturbation=scribbler)
+    traj = propagate(sv, 100.0, dt=10.0, perturbation=zero)
     assert np.array_equal(traj.r, base.r) and np.array_equal(traj.v, base.v)
     assert len(seen) == 40
-    assert set(seen) == {(np.ndarray, (3,), np.ndarray, (3,), Epoch)}
+    # six state floats and the stage Julian date
+    assert set(seen) == {(float,) * 7}
 
     kick = propagate(sv, 100.0, dt=10.0,
-                     perturbation=lambda r, v, epoch: (0.0, 0.0, 1e-6))
+                     perturbation=lambda *stage: (0.0, 0.0, 1e-6))
     # constant extra acceleration: displacement 0.5 * a * t^2 along z
     dz = kick.r[-1, 2] - base.r[-1, 2]
     assert dz == pytest.approx(0.5 * 1e-6 * 100.0 ** 2, rel=1e-2)
@@ -130,22 +129,25 @@ def test_perturbation_hook_times():
     _, sv = circ_state()
     seen = []
 
-    def hook(r, v, epoch):
-        seen.append(epoch.seconds_since(sv.epoch))
-        return np.zeros(3)
+    def hook(x, y, z, vx, vy, vz, jd):
+        seen.append(jd)
+        return 0.0, 0.0, 0.0
 
     propagate(sv, 40.0, dt=10.0, perturbation=hook)
     # RK4 queries each step at its start, twice at its midpoint and at its
-    # end (to the Julian-date quantization of an Epoch)
+    # end; jd is the stage Epoch's Julian date, so seconds come back to the
+    # Julian-date quantization
     expect = [10.0 * k + s for k in range(4) for s in (0.0, 5.0, 5.0, 10.0)]
-    assert seen == pytest.approx(expect, abs=1e-4)
+    assert seen == [sv.epoch.plus_seconds(t).jd for t in expect]
+    assert [Epoch(jd).seconds_since(sv.epoch) for jd in seen] == \
+        pytest.approx(expect, abs=1e-4)
 
 
 def test_drag_like_hook_lowers_energy():
     _, sv = circ_state()
 
-    def drag(r, v, epoch):
-        return -1e-6 * v
+    def drag(x, y, z, vx, vy, vz, jd):
+        return -1e-6 * vx, -1e-6 * vy, -1e-6 * vz
 
     traj = propagate(sv, 2000.0, dt=10.0, perturbation=drag)
     e0 = specific_energy(traj.r[0], traj.v[0])

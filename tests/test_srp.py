@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leosrp.ephemeris import analytic_sun_table
+from leosrp.ephemeris import analytic_sun_table, sun_xyz
 from leosrp.errors import DomainError, EphemerisRangeError
-from leosrp.kepler import KeplerianElements
+from leosrp.kepler import (KeplerianElements, StateVector, elements_to_state,
+                           orbital_period, state_to_elements)
+from leosrp.propagator import propagate
 from leosrp.srp import (MAX_SWEEP_ENTRIES, SrpConfig, km_day2_to_km_s2,
                         km_s2_to_km_day2, perturb_sweep, srp_acceleration,
                         srp_perturbation, srp_year_series,
@@ -210,8 +212,34 @@ def test_perturbation_hook_magnitude(el0):
     sun = table_sun_position(table)
     hook = srp_perturbation(SrpConfig(nu_override=1), sun)
     r_sat = np.array([6928.18, 0.0, 0.0])
-    acc = hook(r_sat, np.zeros(3), EPOCH)
-    r_sun = sun(EPOCH)
+    acc = hook(*r_sat.tolist(), 0.0, 0.0, 0.0, EPOCH.jd)
+    r_sun = np.array(sun(EPOCH.jd))
     dist = np.linalg.norm(r_sat - r_sun)
     mag_expected = (1.3 * CONSTANTS.p0 * (1.0 / 15.0) / 1000.0) * (AU / dist) ** 2
     assert np.linalg.norm(acc) == pytest.approx(mag_expected, rel=1e-12)
+
+
+def test_cannonball_orbit_matches_averaged_closed_form(el0):
+    # Constant force f on a circular orbit: the orbit-averaged rates are
+    # de/dt = 3/(2na) f x h_hat and dh/dt = -3/2 a e x f (Hamilton & Krivov
+    # 1996, Icarus 123, 503), so after one period T from e = 0 the
+    # eccentricity is 3T/(2na) |f x h_hat| and |h| does not move to first
+    # order.  With a fixed Sun 1 AU away the cannonball force is that
+    # constant f to about |r|/AU.
+    sun = sun_xyz(el0.epoch.jd)
+    cfg = SrpConfig(nu_override=1)
+    hook = srp_perturbation(cfg, lambda jd: sun)
+    period = orbital_period(el0.a)
+    state0 = elements_to_state(el0)
+    traj = propagate(state0, period, dt=period / round(period / 10.0),
+                     perturbation=hook)
+
+    f0 = srp_acceleration(np.zeros(3), sun, cfg)
+    h0 = np.cross(state0.r, state0.v)
+    n = math.sqrt(CONSTANTS.mu_earth / el0.a ** 3)
+    expect = 3.0 * period / (2.0 * n * el0.a) * np.linalg.norm(
+        np.cross(f0, h0 / np.linalg.norm(h0)))
+    end = StateVector(traj.r[-1], traj.v[-1], el0.epoch)
+    assert state_to_elements(end).e == pytest.approx(expect, rel=1e-5)
+    h1 = np.cross(traj.r[-1], traj.v[-1])
+    assert np.linalg.norm(h1 - h0) / np.linalg.norm(h0) < 1e-5
