@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import ephemeris, geotrack, kepler, mlreg, srp, svgplot, tle
-from .errors import DomainError, LeoSrpError
+from .errors import DomainError, LeoSrpError, read_text
 from .kepler import ELEMENTS_CSV_HEADER
 from .propagator import propagate
 from .timeframe import format_epoch, parse_epoch
@@ -109,8 +109,7 @@ def _sun_table(args) -> ephemeris.EphemerisTable:
             cache_dir=args.ephem_cache)
     else:
         path = args.ephem
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
     return ephemeris.EphemerisTable.from_components(
         ephemeris.parse_horizons_vectors(text, body="sun", path=path))
 

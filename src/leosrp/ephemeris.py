@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, EphemerisRangeError, FetchError,
-                     FormatError, InvalidDateError)
+                     FormatError, InvalidDateError, read_text)
 from .timeframe import CONSTANTS, Epoch, epoch_from_jd
 
 HORIZONS_URL = "https://ssd.jpl.nasa.gov/api/horizons.api"
@@ -221,8 +221,7 @@ def fetch_horizons(body: str, jd_start: float, jd_stop: float,
             cache_dir, f"horizons_{key}_geocentric_{jd_start:.6f}_"
             f"{jd_stop:.6f}_{step_days:g}d.txt")
         if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                return fh.read()
+            return read_text(cache_path)
 
     params = {
         "format": "text",

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types, and the text-file reader that raises them."""
 
 
 class LeoSrpError(Exception):
@@ -40,6 +40,22 @@ class FormatError(LeoSrpError, ValueError):
         elif line is not None:
             where = f"line {line}: "
         super().__init__(where + message)
+
+
+def read_text(path: str) -> str:
+    """A file's UTF-8 text, with newlines translated as text mode does.
+
+    Raises FormatError (path and line) at the first byte that is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        raise FormatError(f"not UTF-8 text: byte 0x{data[at]:02x} at offset "
+                          f"{at}", path=path,
+                          line=data.count(b"\n", 0, at) + 1) from None
 
 
 class ChecksumError(FormatError):

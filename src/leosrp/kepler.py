@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateOrbitError, DomainError,
-                     FormatError, InvalidDateError)
+                     FormatError, InvalidDateError, read_text)
 from .timeframe import CONSTANTS, Epoch, epoch_from_jd
 
 TWO_PI = 2.0 * math.pi
@@ -337,14 +337,13 @@ def elements_from_row(line: str, path: str | None = None,
 def read_elements_csv(path: str) -> list[KeplerianElements]:
     """Read an element CSV file: optional header line, one row per orbit."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if lineno == 1 and any(c.isalpha() for c in line.split(",")[0]):
-                continue  # header
-            out.append(elements_from_row(line, path=path, lineno=lineno))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if lineno == 1 and any(c.isalpha() for c in line.split(",")[0]):
+            continue  # header
+        out.append(elements_from_row(line, path=path, lineno=lineno))
     if not out:
         raise FormatError("no element rows found", path=path)
     return out

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, FormatError, MetricError
+from .errors import (DivergenceError, DomainError, FormatError, MetricError,
+                     read_text)
 from .kepler import elements_to_state
 from .srp import SrpConfig, SweepEntry
 
@@ -317,15 +318,14 @@ def load_model(path: str) -> PositionModel:
     Loss histories are not persisted; loaded models carry empty histories.
     """
     pairs = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError("expected key=value", path=path, line=lineno)
-            key, value = line.split("=", 1)
-            pairs[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError("expected key=value", path=path, line=lineno)
+        key, value = line.split("=", 1)
+        pairs[key.strip()] = value.strip()
 
     def text(key):
         try:
@@ -386,20 +386,20 @@ def write_dataset_csv(ds: Dataset, path: str) -> None:
 
 def read_dataset_csv(path: str) -> Dataset:
     """Read a dataset CSV; trailing x_km,y_km,z_km columns are the targets."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [(n, ln.strip()) for n, ln in
+             enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
     if len(lines) < 2:
         raise FormatError("dataset CSV needs a header and at least one row",
                           path=path)
-    names = tuple(n.strip() for n in lines[0].split(","))
+    names = tuple(n.strip() for n in lines[0][1].split(","))
     n_targ = len([n for n in names if n in TARGET_NAMES])
     if n_targ == 0 or names[-n_targ:] != TARGET_NAMES[-n_targ:]:
         raise FormatError(
             f"dataset header must end with target columns {TARGET_NAMES}",
-            path=path, line=1)
+            path=path, line=lines[0][0])
     feature_names = names[:-n_targ]
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
             rows.append([float(v) for v in line.split(",")])
         except ValueError as exc:

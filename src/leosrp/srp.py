@@ -236,24 +236,17 @@ def srp_year_series(table: EphemerisTable, sat_position, cfg: SrpConfig,
     return samples
 
 
-def srp_perturbation(cfg: SrpConfig, sun_xyz):
+def srp_perturbation(cfg: SrpConfig, sun_position):
     """Build a propagation hook (x, y, z, vx, vy, vz, jd) -> (ax, ay, az).
 
-    The hook follows the float contract of propagator.propagate and
-    returns the acceleration in km/s^2; it equals
-    srp_acceleration(r, sun, cfg, nu) with nu forced or from
-    shadow_factor(r, sun).
+    The hook follows propagate's float contract.  Its km/s^2 acceleration
+    equals srp_acceleration(r, sun, cfg, nu), nu forced or shadow_factor(r,
+    sun), and it raises the DomainErrors of shadow_nu and cannonball.
 
     Args:
         cfg: Craft parameters; nu_override forces the shadow factor.
-        sun_xyz: Callable jd -> (sx, sy, sz), the geocentric Sun position
-            in km as three floats (ephemeris.sun_xyz or a
-            table_sun_position provider).
-
-    Raises (from the hook):
-        DomainError: If the satellite coincides with the Sun position or,
-            with the geometric shadow, is not above the Earth surface or the
-            Sun vector is zero.
+        sun_position: Callable jd -> (sx, sy, sz), the geocentric Sun
+            position in km (ephemeris.sun_xyz or table_sun_position(table)).
     """
     lit = _coefficient(cfg)
     forced = cfg.nu_override
@@ -261,10 +254,10 @@ def srp_perturbation(cfg: SrpConfig, sun_xyz):
         coef = forced * lit
 
         def hook(x, y, z, vx, vy, vz, jd):
-            return cannonball(x, y, z, *sun_xyz(jd), coef)
+            return cannonball(x, y, z, *sun_position(jd), coef)
     else:
         def hook(x, y, z, vx, vy, vz, jd):
-            sx, sy, sz = sun_xyz(jd)
+            sx, sy, sz = sun_position(jd)
             nu = shadow_nu(x, y, z, sx, sy, sz)
             return cannonball(x, y, z, sx, sy, sz, nu * lit)
     return hook

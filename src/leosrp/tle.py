@@ -13,7 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ChecksumError, ChecksumWarning, FormatError, TleFormatWarning
+from .errors import (ChecksumError, ChecksumWarning, FormatError,
+                     TleFormatWarning, read_text)
 from .kepler import KeplerianElements, mean_to_true
 from .timeframe import CONSTANTS, Epoch, calendar_to_jd, jd_to_calendar
 
@@ -55,20 +56,14 @@ def tle_checksum(line: str) -> int:
     if len(line) < 68:
         raise FormatError(
             f"TLE line has {len(line)} characters, need at least 68")
-    total = 0
-    for ch in line[:68]:
-        if ch.isdigit():
-            total += int(ch)
-        elif ch == "-":
-            total += 1
-    return total % 10
+    return _digit_sum_checksum(line[:68])
 
 
 def _digit_sum_checksum(text: str) -> int:
-    """Checksum of arbitrary-width text (used on whitespace-collapsed lines)."""
+    """tle_checksum's digit sum on text of any width (reflowed lines too)."""
     total = 0
     for ch in text:
-        if ch.isdigit():
+        if ch.isdecimal():
             total += int(ch)
         elif ch == "-":
             total += 1
@@ -89,9 +84,9 @@ def _epoch_from_yyddd(field: str, path=None, lineno=None) -> Epoch:
     return Epoch(calendar_to_jd(year, 1, 1).jd + (doy - 1.0))
 
 
-def _float_field(text: str, what: str, path=None, lineno=None) -> float:
+def _number_field(text: str, what: str, path=None, lineno=None, kind=float):
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
         raise FormatError(f"non-numeric {what} field {text!r}",
                           path=path, line=lineno) from None
@@ -100,7 +95,7 @@ def _float_field(text: str, what: str, path=None, lineno=None) -> float:
 def _implied_decimal(text: str, what: str, path=None, lineno=None) -> float:
     """Decode a TLE implied-decimal field such as '0001715' -> 0.0001715."""
     text = text.strip()
-    if not text or not all(c.isdigit() for c in text):
+    if not text or not all(c.isdecimal() for c in text):
         raise FormatError(f"bad implied-decimal {what} field {text!r}",
                           path=path, line=lineno)
     return float("0." + text)
@@ -110,20 +105,20 @@ def _parse_strict(line1: str, line2: str, path=None, lineno=None) -> TleRecord:
     for idx, line in ((1, line1), (2, line2)):
         want = tle_checksum(line)
         got = line[68]
-        if not got.isdigit() or int(got) != want:
+        if not got.isdecimal() or int(got) != want:
             raise ChecksumError(
                 f"line {idx} checksum mismatch: computed {want}, "
                 f"line says {got!r}", path=path, line=lineno)
-    catalog = int(line1[2:7])
+    catalog = _number_field(line1[2:7], "catalog number", path, lineno, int)
     designator = line1[9:17].strip()
     epoch = _epoch_from_yyddd(line1[18:32].strip(), path, lineno)
     bstar = line1[53:61].strip()
-    incl = _float_field(line2[8:16], "inclination", path, lineno)
-    raan = _float_field(line2[17:25], "raan", path, lineno)
+    incl = _number_field(line2[8:16], "inclination", path, lineno)
+    raan = _number_field(line2[17:25], "raan", path, lineno)
     ecc = _implied_decimal(line2[26:33], "eccentricity", path, lineno)
-    argp = _float_field(line2[34:42], "argument of perigee", path, lineno)
-    ma = _float_field(line2[43:51], "mean anomaly", path, lineno)
-    mm = _float_field(line2[52:63], "mean motion", path, lineno)
+    argp = _number_field(line2[34:42], "argument of perigee", path, lineno)
+    ma = _number_field(line2[43:51], "mean anomaly", path, lineno)
+    mm = _number_field(line2[52:63], "mean motion", path, lineno)
     return TleRecord(catalog, designator, epoch, incl, raan, ecc, argp, ma,
                      mm, bstar, (int(line1[68]), int(line2[68])))
 
@@ -134,12 +129,12 @@ def _verify_tolerant(line: str, number: int, path=None, lineno=None) -> int:
         line = f"{number} " + line
     body, last = line[:-1], line[-1]
     want = _digit_sum_checksum(body)
-    if not last.isdigit() or int(last) != want:
+    if not last.isdecimal() or int(last) != want:
         warnings.warn(
             f"line {number} checksum could not be confirmed after "
             f"whitespace normalization (computed {want}, line ends {last!r})",
             ChecksumWarning, stacklevel=3)
-        return int(last) if last.isdigit() else -1
+        return int(last) if last.isdecimal() else -1
     return int(last)
 
 
@@ -167,21 +162,18 @@ def _parse_tolerant(line1: str, line2: str, path=None, lineno=None) -> TleRecord
             "(catalog, inclination, raan, eccentricity, argument of perigee, "
             "mean anomaly, mean motion, rev/checksum)", path=path, line=lineno)
 
-    cat_field = t1[0].rstrip("USC")  # classification letter may trail
-    try:
-        catalog = int(cat_field)
-    except ValueError:
-        raise FormatError(f"bad catalog number field {t1[0]!r}",
-                          path=path, line=lineno) from None
+    # the classification letter may trail the catalog number
+    catalog = _number_field(t1[0].rstrip("USC"), "catalog number", path,
+                            lineno, int)
     designator = t1[1]
     epoch = _epoch_from_yyddd(t1[2], path, lineno)
     bstar = t1[5]
-    incl = _float_field(t2[1], "inclination", path, lineno)
-    raan = _float_field(t2[2], "raan", path, lineno)
+    incl = _number_field(t2[1], "inclination", path, lineno)
+    raan = _number_field(t2[2], "raan", path, lineno)
     ecc = _implied_decimal(t2[3], "eccentricity", path, lineno)
-    argp = _float_field(t2[4], "argument of perigee", path, lineno)
-    ma = _float_field(t2[5], "mean anomaly", path, lineno)
-    mm = _float_field(t2[6], "mean motion", path, lineno)
+    argp = _number_field(t2[4], "argument of perigee", path, lineno)
+    ma = _number_field(t2[5], "mean anomaly", path, lineno)
+    mm = _number_field(t2[6], "mean motion", path, lineno)
     ck1 = _verify_tolerant(line1, 1, path, lineno)
     ck2 = _verify_tolerant(line2, 2, path, lineno)
     return TleRecord(catalog, designator, epoch, incl, raan, ecc, argp, ma,
@@ -190,7 +182,7 @@ def _parse_tolerant(line1: str, line2: str, path=None, lineno=None) -> TleRecord
 
 def _looks_strict(line: str, number: int) -> bool:
     return (len(line) >= 69 and line[0] == str(number) and line[1] == " "
-            and line[68].isdigit())
+            and line[68].isdecimal())
 
 
 def parse_tle(line1: str, line2: str, path: str | None = None,
@@ -269,9 +261,8 @@ def read_tle_file(path: str) -> list[TleRecord]:
     name lines between records) as well as bare two- or three-line files in
     the tolerant reflowed form.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [(n, line.rstrip("\r\n")) for n, line in enumerate(fh, start=1)]
-    lines = [(n, s) for n, s in raw if s.strip()]
+    lines = [(n, s) for n, s in enumerate(read_text(path).split("\n"), start=1)
+             if s.strip()]
     if not lines:
         raise FormatError("file contains no TLE lines", path=path)
 

@@ -1,11 +1,11 @@
 """Golden CLI artifacts: the acceptance-11 flag set, checked across commits.
 
 `run_all(out)` runs the acceptance-11 commands (plus one geometric-shadow
-year series and two radiation-pressure trajectories) into `out`; `compare(out)` checks every file against the copy
-kept in tests/golden/ and describes each mismatch: the file, the largest
-|delta| per CSV column, and the Python and numpy versions that wrote the
-golden files beside the ones running now (the bytes depend on libm and
-numpy).
+year series and two radiation-pressure trajectories) into `out`;
+`compare(out)` checks every file against the copy kept in tests/golden/ and
+describes each mismatch: the file, the largest |delta| per CSV column, and
+the Python and numpy versions that wrote the golden files beside the ones
+running now (the bytes depend on libm and numpy).
 
 Rewrite the golden files after a change that is meant to move them, and log
 each changed file and its drift:

@@ -64,6 +64,24 @@ def test_broken_csv_names_file_and_line(tmp_path, capsys):
     assert "broken.csv:2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("propagate", "--elements", "<bad>"),
+    ("propagate", "--elements", "<elements>", "--srp", "--ephem", "<bad>"),
+    ("srp", "year", "--elements", "<elements>", "--ephem", "<bad>"),
+    ("tle", "parse", "<bad>"),
+    ("ml", "train", "--data", "<bad>"),
+    ("ml", "predict", "--model", "<bad>", "--features", "1")])
+def test_non_utf8_file_is_data_error(elements_csv, tmp_path, monkeypatch,
+                                     capsys, argv):
+    monkeypatch.chdir(tmp_path)  # artifacts, if any, land in the default --out
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"line one\nabc\xffdef\n")
+    paths = {"<bad>": str(bad), "<elements>": elements_csv}
+    assert run_cli(*[paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: not UTF-8 text: byte 0xff at offset 12" in err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--dt", "inf"), ("--dt", "nan"), ("--hours", "inf"),
     ("--hours", "nan")])

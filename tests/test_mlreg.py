@@ -364,3 +364,10 @@ def test_read_dataset_reports_lines(tmp_path):
     with pytest.raises(FormatError) as err:
         read_dataset_csv(str(path))
     assert "short.csv:2" in str(err.value)
+    # blank lines count: the bad row is line 5 of the file
+    path.write_text("\nmass_kg,x_km,y_km,z_km\n\n1,2,3,4\n1,2,x,4\n")
+    with pytest.raises(FormatError, match="short.csv:5:"):
+        read_dataset_csv(str(path))
+    path.write_text("\nmass_kg,x\n1,2\n")
+    with pytest.raises(FormatError, match="short.csv:2:"):
+        read_dataset_csv(str(path))

@@ -1,17 +1,22 @@
 """Property tests for the text parsers: any input gives a value or a
-LeoSrpError, never another exception."""
+LeoSrpError, never another exception.  The file readers also get bytes that
+are not UTF-8."""
 
 import os
 import tempfile
+import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leosrp.errors import LeoSrpError
 from leosrp.ephemeris import parse_horizons_vectors
 from leosrp.kepler import elements_from_row
-from leosrp.mlreg import load_model
+from leosrp.mlreg import load_model, read_dataset_csv
 from leosrp.timeframe import parse_epoch
+from leosrp.tle import parse_tle, read_tle_file, tle_to_elements
+from tests.conftest import TLE_TOKENS_1, TLE_TOKENS_2
+from tests.test_tle import ISS_1, ISS_2
 
 # numbers as a file might spell them, plus the odd word
 numbers = st.one_of(
@@ -27,6 +32,36 @@ def parses_or_raises_leosrp(parse, text):
         parse(text)
     except LeoSrpError:
         pass
+
+
+def _edit(base, edits, keep):
+    out = [base[k:k + 1] for k in range(len(base))]
+    for k, item in edits:
+        out[k % len(out)] = item
+    return base[:0].join(out)[:keep]
+
+
+def edited(base, items):
+    """base with up to four items (characters or bytes) replaced, and cut
+    short about half the time."""
+    return st.builds(_edit, st.just(base),
+                     st.lists(st.tuples(st.integers(0, len(base) - 1), items),
+                              max_size=4),
+                     st.one_of(st.just(len(base)),
+                               st.integers(0, len(base))))
+
+
+def parses_file_or_raises_leosrp(read, data: bytes):
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        parses_or_raises_leosrp(read, path)
+    finally:
+        os.remove(path)
+
+
+single_bytes = st.integers(0, 255).map(lambda b: bytes([b]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,3 +118,57 @@ def test_load_model_any_text(changes, junk):
         parses_or_raises_leosrp(load_model, path)
     finally:
         os.remove(path)
+
+
+def tle_lines(*bases):
+    return st.one_of(st.text(max_size=80),
+                     *[edited(base, st.characters()) for base in bases])
+
+
+def parse_tle_to_elements(lines):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tle_to_elements(parse_tle(*lines))
+
+
+@settings(max_examples=300, deadline=None)
+@example(line1=ISS_1.replace("25544", "255-4").replace("2182", "21-2"),
+         line2=ISS_2)  # checksum still holds
+@example(line1=ISS_1.replace("25544", "\u00b95544"), line2=ISS_2)
+@given(line1=tle_lines(ISS_1, "1 " + TLE_TOKENS_1),
+       line2=tle_lines(ISS_2, "2 " + TLE_TOKENS_2))
+def test_parse_tle_any_text(line1, line2):
+    parses_or_raises_leosrp(parse_tle_to_elements, (line1, line2))
+
+
+TLE_FILE = ("ISS\n" + ISS_1 + "\n" + ISS_2 + "\n" + TLE_TOKENS_1 + "\n"
+            + TLE_TOKENS_2 + "\n").encode()
+
+
+def read_tle_quietly(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return read_tle_file(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200),
+                      edited(TLE_FILE, single_bytes),
+                      edited(TLE_FILE, st.sampled_from(
+                          [b"\xff", b"\xc3", b"\r", b"\n", b" ", b"-"]))))
+def test_read_tle_file_any_bytes(data):
+    parses_file_or_raises_leosrp(read_tle_quietly, data)
+
+
+DATASET = b"mass_kg,a_srp,x_km,y_km,z_km\n15.0,0.01,1.0,2.0,3.0\n" \
+    b"15.0,0.02,1.5,2.5,3.5\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=120),
+    edited(DATASET, single_bytes),
+    st.lists(rows, min_size=1, max_size=4).map(
+        lambda r: ("x_km,y_km,z_km\n" + "\n".join(r)).encode())))
+def test_read_dataset_csv_any_bytes(data):
+    parses_file_or_raises_leosrp(read_dataset_csv, data)
